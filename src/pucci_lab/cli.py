@@ -13,8 +13,7 @@ Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
 written atomically) echoing the full config with defaults, a hash of that
 echo, per-stage timings, telemetry, and a verdict table.  The process exit
 code is 0 when every verdict is PASS, 1 when any verdict is not, and 2 on
-configuration or runtime errors.  ``PUCCI_LAB_THREADS`` caps the worker
-pools of the numerical backends.
+configuration or runtime errors.
 """
 
 from __future__ import annotations
@@ -419,7 +418,9 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
         curve_to_csv(curve, man.emit("curve.csv"))
 
         bc = boundary_consistency(u)
-        bc_v = "DEGENERATE" if math.isnan(bc) else ("PASS" if bc <= 2.0 * spec.h else "FAIL")
+        # the level-pair gap is >= 2h even on exactly coincident phases, so
+        # the bound is one cell above it (acceptance criterion 11's 3h)
+        bc_v = "DEGENERATE" if math.isnan(bc) else ("PASS" if bc <= 3.0 * spec.h else "FAIL")
         rows.append(("boundary_consistency", bc, bc_v))
         man.data["verdicts"]["boundary_consistency"] = bc_v
 
@@ -628,20 +629,6 @@ def run(cfg: RunConfig, out_dir: str | None = None, quiet: bool = False) -> int:
     return code
 
 
-def _apply_thread_cap():
-    raw = os.environ.get("PUCCI_LAB_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-        if n < 1:
-            raise ValueError
-    except ValueError:
-        raise ParseError(f"PUCCI_LAB_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="pucci-lab", description=__doc__.splitlines()[0])
     ap.add_argument("--config", required=True, help="path to a key = value config file")
@@ -649,7 +636,6 @@ def main(argv=None) -> int:
     ap.add_argument("--quiet", action="store_true", help="suppress the summary lines")
     args = ap.parse_args(argv)
     try:
-        _apply_thread_cap()
         with open(args.config) as fh:
             text = fh.read()
         cfg = parse_config(text)

@@ -228,9 +228,11 @@ def field_to_csv(fld: GridField, path) -> None:
     X, Y = spec.node_coords()
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for i in range(spec.nx):
-            for j in range(spec.nx):
-                fh.write(f"{X[i, j]:.17g},{Y[i, j]:.17g},{fld.values[i, j]:.17g}\n")
+        # a row at a time: Python floats for the whole grid would raise the
+        # peak memory by 32 bytes a value
+        for xs, ys, vs in zip(X, Y, fld.values):
+            fh.writelines(f"{x:.17g},{y:.17g},{v:.17g}\n"
+                          for x, y, v in zip(xs.tolist(), ys.tolist(), vs.tolist()))
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(
             {"nx": spec.nx, "extent": spec.extent, "origin": list(spec.origin)},

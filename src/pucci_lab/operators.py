@@ -27,9 +27,16 @@ average) or a wide stencil with K direction pairs at angles k pi / (2K).
 Wide-stencil directional second differences use bilinear off-grid samples at
 x +- h v; the raw difference of bilinear samples carries a known O(1) bias
 -( fx(1-fx) u_xx + fy(1-fy) u_yy ) with fx, fy the sample cell fractions, so
-the exact-coefficient axis-difference correction is added back.  All
-off-center stencil weights stay nonnegative, so the corrected scheme remains
-degenerate-elliptic monotone, with consistency O(h^2 + 1/K^2).
+the exact-coefficient axis-difference correction is added back, for
+consistency O(h^2 + 1/K^2).  The correction makes some off-center weights
+negative: along (cos t, sin t) the weight on the (1, 0) neighbour is
+cos t (cos t - sin t), -0.207 at t = 67.5 degrees, so the corrected scheme is
+not monotone.
+
+Both schemes reduce to a list of discrete Hessians, the frames: the central
+Hessian, or the K corrected directional pairs (d1, d2) taken as diag(d1, d2).
+One kernel per family gives inf and sup of tr(A M) on each frame, and the
+residual takes the min (inf side) or max (sup side) over the frames.
 """
 
 from __future__ import annotations
@@ -80,10 +87,10 @@ class Ellipticity:
 
 
 def eig2(m: SymMat2) -> tuple[float, float]:
-    """Eigenvalues of a symmetric 2x2 matrix, ascending, by the closed form."""
-    mean = 0.5 * (m.a + m.c)
-    rad = math.hypot(0.5 * (m.a - m.c), m.b)
-    return (mean - rad, mean + rad)
+    """Eigenvalues of a symmetric 2x2 matrix, ascending, by the closed form
+    (entries below about 1e154 in magnitude, where its squares stay finite)."""
+    e1, e2 = _eig2_arrays(m.a, m.b, m.c)
+    return float(e1), float(e2)
 
 
 def _eig2_arrays(a, b, c):
@@ -96,16 +103,8 @@ def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
     """Pucci extremal value M-(m) (branch="minus") or M+(m) (branch="plus")."""
     if branch not in ("minus", "plus"):
         raise ConfigurationError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    e1, e2 = eig2(m)
-    lo, hi = (ell.lam, ell.Lam) if branch == "minus" else (ell.Lam, ell.lam)
-    return lo * (max(e1, 0.0) + max(e2, 0.0)) + hi * (min(e1, 0.0) + min(e2, 0.0))
-
-
-def _pucci_arrays(e1, e2, ell: Ellipticity, branch: str):
-    lo, hi = (ell.lam, ell.Lam) if branch == "minus" else (ell.Lam, ell.lam)
-    return lo * (np.maximum(e1, 0.0) + np.maximum(e2, 0.0)) + hi * (
-        np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
-    )
+    lo, hi = _extremal_sides(None, ell, m.a, m.b, m.c, branch == "minus", branch == "plus")
+    return float(lo if branch == "minus" else hi)
 
 
 @dataclass(frozen=True)
@@ -156,23 +155,35 @@ def family_extremal(fam: MatrixFamily, m: SymMat2, mode: str) -> float:
     """inf (mode="inf") or sup (mode="sup") of tr(A m) over the family."""
     if mode not in ("inf", "sup"):
         raise ConfigurationError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    a = np.asarray(m.a, dtype=float)
-    out = _family_extremal_arrays(fam, a, np.asarray(m.b, float), np.asarray(m.c, float), mode)
-    return float(out)
+    lo, hi = _extremal_sides(fam, fam.ell, m.a, m.b, m.c, mode == "inf", mode == "sup")
+    return float(lo if mode == "inf" else hi)
 
 
-def _family_extremal_arrays(fam: MatrixFamily, a, b, c, mode: str):
-    if fam.kind == "full_pucci":
+def _extremal_sides(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, inf: bool, sup: bool):
+    """(inf, sup) of tr(A M) over the family, entrywise for M = [[a, b], [b, c]].
+
+    ``fam`` None is the full Pucci class of ``ell``; otherwise ``ell`` is
+    ``fam.ell``.  Only the flagged sides are computed, and a side left
+    unflagged may come back as None.
+    """
+    kind = "full_pucci" if fam is None else fam.kind
+    if kind == "full_pucci":
         e1, e2 = _eig2_arrays(a, b, c)
-        return _pucci_arrays(e1, e2, fam.ell, "minus" if mode == "inf" else "plus")
-    if fam.kind == "identity_only":
-        return a + c
-    if fam.kind == "frobenius_ball":
-        fro = np.sqrt(a * a + 2.0 * b * b + c * c)
-        return (a + c) - fam.r0 * fro if mode == "inf" else (a + c) + fam.r0 * fro
+        pos = np.maximum(e1, 0.0) + np.maximum(e2, 0.0)
+        neg = np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
+        del e1, e2  # fewer live temporaries: fewer page faults on large grids
+        return (ell.lam * pos + ell.Lam * neg if inf else None,
+                ell.Lam * pos + ell.lam * neg if sup else None)
+    if kind == "identity_only":
+        tr = a + c
+        return tr, tr
+    if kind == "frobenius_ball":
+        tr = a + c
+        rad = fam.r0 * np.sqrt(a * a + 2.0 * b * b + c * c)
+        return tr - rad if inf else None, tr + rad if sup else None
     # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
     vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
-    return vals.min(axis=0) if mode == "inf" else vals.max(axis=0)
+    return vals.min(axis=0) if inf else None, vals.max(axis=0) if sup else None
 
 
 @dataclass(frozen=True)
@@ -283,23 +294,6 @@ def _resolve(op: str, pair: OperatorPair | None, ell: Ellipticity | None, eps):
     return pair, ell
 
 
-def _central_selector(op, pair, ell, eps, u_int, uxx, uyy, uxy):
-    if op == "laplacian":
-        return uxx + uyy
-    if op in ("M_minus", "M_plus"):
-        e1, e2 = _eig2_arrays(uxx, uxy, uyy)
-        return _pucci_arrays(e1, e2, ell, "minus" if op == "M_minus" else "plus")
-    if op == "F_minus":
-        return _family_extremal_arrays(pair.minus, uxx, uxy, uyy, "inf")
-    if op == "F_plus":
-        return _family_extremal_arrays(pair.plus, uxx, uxy, uyy, "sup")
-    # G_eps
-    fm = _family_extremal_arrays(pair.minus, uxx, uxy, uyy, "inf")
-    fp = _family_extremal_arrays(pair.plus, uxx, uxy, uyy, "sup")
-    hh = heaviside_smooth(u_int, eps)
-    return hh * fm + (1.0 - hh) * fp
-
-
 def _dir_second_diff(u: np.ndarray, h: float, dx: float, dy: float, dxx, dyy):
     """Corrected directional second difference along v = (dx, dy), |v| = 1.
 
@@ -336,60 +330,37 @@ def _dir_second_diff(u: np.ndarray, h: float, dx: float, dy: float, dxx, dyy):
     return raw - fx * (1.0 - fx) * dxx - fy * (1.0 - fy) * dyy
 
 
-def _wide_frames(k: int):
-    """Direction pairs (v, v_perp) at angles theta = i pi / (2K)."""
-    out = []
-    for i in range(k):
-        th = i * math.pi / (2 * k)
-        c, s = math.cos(th), math.sin(th)
-        out.append(((c, s), (-s, c)))
-    return out
+def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
+    """The scheme's discrete Hessians as (a, b, c) entries of [[a, b], [b, c]].
+
+    central: the one central Hessian.  wide: per angle i pi / (2K), the
+    corrected second differences along v and its orthogonal complement,
+    diag(d1, d2) in the frame (v, v_perp).
+    """
+    if scheme.kind == "central":
+        return [(uxx, uxy, uyy)]
+    frames = []
+    for i in range(scheme.k):
+        th = i * math.pi / (2 * scheme.k)
+        cs, sn = math.cos(th), math.sin(th)
+        frames.append((_dir_second_diff(u, h, cs, sn, uxx, uyy), 0.0,
+                       _dir_second_diff(u, h, -sn, cs, uxx, uyy)))
+    return frames
 
 
-def _wide_selector(op, pair, ell, eps, u, h, scheme):
-    n = u.shape[0]
-    h2 = h * h
-    dxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h2
-    dyy = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / h2
-    if op == "laplacian":
-        return dxx + dyy
-
-    def fam_combo(fam: MatrixFamily, mode: str):
-        if fam.kind == "finite_set":
-            raise ConfigurationError("finite_set families are not rotation closed; "
-                                     "wide stencils are unsupported")
-        acc = None
-        for v, w in _wide_frames(scheme.k):
-            d1 = _dir_second_diff(u, h, v[0], v[1], dxx, dyy)
-            d2 = _dir_second_diff(u, h, w[0], w[1], dxx, dyy)
-            if fam.kind == "identity_only":
-                val = d1 + d2
-            elif fam.kind == "frobenius_ball":
-                fro = np.sqrt(d1 * d1 + d2 * d2)
-                val = (d1 + d2) - fam.r0 * fro if mode == "inf" else (d1 + d2) + fam.r0 * fro
-            else:  # full_pucci
-                lo, hi = (fam.ell.lam, fam.ell.Lam) if mode == "inf" else (fam.ell.Lam, fam.ell.lam)
-                val = (
-                    lo * (np.maximum(d1, 0.0) + np.maximum(d2, 0.0))
-                    + hi * (np.minimum(d1, 0.0) + np.minimum(d2, 0.0))
-                )
-            if acc is None:
-                acc = val
-            else:
-                acc = np.minimum(acc, val) if mode == "inf" else np.maximum(acc, val)
-        return acc
-
-    if op in ("M_minus", "M_plus"):
-        fam = MatrixFamily("full_pucci", ell)
-        return fam_combo(fam, "inf" if op == "M_minus" else "sup")
-    if op == "F_minus":
-        return fam_combo(pair.minus, "inf")
-    if op == "F_plus":
-        return fam_combo(pair.plus, "sup")
-    fm = fam_combo(pair.minus, "inf")
-    fp = fam_combo(pair.plus, "sup")
-    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
-    return hh * fm + (1.0 - hh) * fp
+def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, inf: bool, sup: bool):
+    """(min over the frames of the inf side, max over them of the sup side)."""
+    if fam is not None and fam.kind == "finite_set" and len(frames) > 1:
+        raise ConfigurationError("finite_set families are not rotation closed; "
+                                 "wide stencils are unsupported")
+    lo = hi = None
+    for a, b, c in frames:
+        f_lo, f_hi = _extremal_sides(fam, ell, a, b, c, inf, sup)
+        if inf:
+            lo = f_lo if lo is None else np.minimum(lo, f_lo)
+        if sup:
+            hi = f_hi if hi is None else np.maximum(hi, f_hi)
+    return lo, hi
 
 
 def residual_interior(
@@ -400,37 +371,34 @@ def residual_interior(
     pair: OperatorPair | None = None,
     ell: Ellipticity | None = None,
     eps: float | None = None,
-    telemetry: dict | None = None,
 ) -> np.ndarray:
     """Residual of the selected operator on the interior block, shape (nx-2, nx-2).
 
-    The wide stencil samples at x +- h v, which fits inside the one-node
-    Dirichlet ring for every interior node; if a configured step ever needed
-    a wider margin, the outer interior band would fall back to the central
-    scheme and the affected node count is reported in the telemetry.
+    The laplacian is the trace of the central Hessian on either scheme.  The
+    wide stencil samples at x +- h v, which fits inside the one-node
+    Dirichlet ring for every interior node.
     """
     pair, ell = _resolve(op, pair, ell, eps)
     uxx, uyy, uxy = central_hessian(u, h)
-    u_int = u[1:-1, 1:-1]
-    if scheme.kind == "central":
-        if telemetry is not None:
-            telemetry["wide_fallback_nodes"] = telemetry.get("wide_fallback_nodes", 0)
-        return _central_selector(op, pair, ell, eps, u_int, uxx, uyy, uxy)
-
-    margin = 1  # max sample offset is one node at unit step
-    band = margin - 1
-    res = _wide_selector(op, pair, ell, eps, u, h, scheme)
-    fallback = 0
-    if band > 0:
-        central = _central_selector(op, pair, ell, eps, u_int, uxx, uyy, uxy)
-        m = np.zeros_like(res, dtype=bool)
-        m[:band, :] = m[-band:, :] = True
-        m[:, :band] = m[:, -band:] = True
-        res = np.where(m, central, res)
-        fallback = int(m.sum())
-    if telemetry is not None:
-        telemetry["wide_fallback_nodes"] = telemetry.get("wide_fallback_nodes", 0) + fallback
-    return res
+    if op == "laplacian":
+        return uxx + uyy
+    frames = _frames(u, h, scheme, uxx, uyy, uxy)
+    if op == "M_minus":
+        return _over_frames(frames, None, ell, True, False)[0]
+    if op == "M_plus":
+        return _over_frames(frames, None, ell, False, True)[1]
+    if op == "F_minus":
+        return _over_frames(frames, pair.minus, ell, True, False)[0]
+    if op == "F_plus":
+        return _over_frames(frames, pair.plus, ell, False, True)[1]
+    # G_eps: one family on both sides takes both from the same eigenvalues
+    if pair.minus == pair.plus:
+        fm, fp = _over_frames(frames, pair.minus, ell, True, True)
+    else:
+        fm = _over_frames(frames, pair.minus, ell, True, False)[0]
+        fp = _over_frames(frames, pair.plus, ell, False, True)[1]
+    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
+    return hh * fm + (1.0 - hh) * fp
 
 
 def discrete_residual(
@@ -440,13 +408,11 @@ def discrete_residual(
     pair: OperatorPair | None = None,
     ell: Ellipticity | None = None,
     eps: float | None = None,
-    telemetry: dict | None = None,
 ) -> GridField:
     """Residual field of the selected operator; zero on the Dirichlet ring."""
     if not np.all(np.isfinite(fld.values)):
         raise InputError("field contains non-finite values")
     out = np.zeros_like(fld.values)
-    out[1:-1, 1:-1] = residual_interior(
-        fld.values, fld.spec.h, op, scheme, pair=pair, ell=ell, eps=eps, telemetry=telemetry
-    )
+    out[1:-1, 1:-1] = residual_interior(fld.values, fld.spec.h, op, scheme,
+                                        pair=pair, ell=ell, eps=eps)
     return GridField(fld.spec, out)

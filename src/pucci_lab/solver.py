@@ -146,16 +146,13 @@ def solve_dirichlet(
         u[frozen] = boundary.values[frozen]
         frozen_int = frozen[1:-1, 1:-1]
     tau = cfg.cfl * spec.h**2 / (4.0 * ell_eff.Lam)
-    telemetry: dict = {}
     history = []
     best = None
     best_res = np.inf
     it = 0
     converged = False
     for it in range(1, cfg.max_iter + 1):
-        res_arr = residual_interior(
-            u, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps, telemetry=telemetry
-        )
+        res_arr = residual_interior(u, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
         if frozen_int is not None:
             res_arr[frozen_int] = 0.0
         res = float(np.abs(res_arr).max())
@@ -177,7 +174,6 @@ def solve_dirichlet(
         residual_history=np.asarray(history),
         lipschitz_seminorm=lipschitz_seminorm(out),
         converged=converged,
-        telemetry=telemetry,
     )
 
 

@@ -170,3 +170,40 @@ def test_csv_header_and_sidecar(tmp_path):
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 25
     assert (tmp_path / "f.csv.meta.json").exists()
+
+
+def test_csv_exact_bytes(tmp_path):
+    g = GridSpec(5, origin=(0.1, -0.3))
+    vals = np.zeros((5, 5))
+    vals[0, 0], vals[0, 1], vals[2, 3], vals[4, 4] = -0.0, 5e-324, 1e16, 1.0 / 3.0
+    field_to_csv(GridField(g, vals), tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == (
+        "x,y,value\n"
+        "0.10000000000000001,-0.29999999999999999,-0\n"
+        "0.10000000000000001,-0.049999999999999989,4.9406564584124654e-324\n"
+        "0.10000000000000001,0.20000000000000001,0\n"
+        "0.10000000000000001,0.45000000000000001,0\n"
+        "0.10000000000000001,0.69999999999999996,0\n"
+        "0.34999999999999998,-0.29999999999999999,0\n"
+        "0.34999999999999998,-0.049999999999999989,0\n"
+        "0.34999999999999998,0.20000000000000001,0\n"
+        "0.34999999999999998,0.45000000000000001,0\n"
+        "0.34999999999999998,0.69999999999999996,0\n"
+        "0.59999999999999998,-0.29999999999999999,0\n"
+        "0.59999999999999998,-0.049999999999999989,0\n"
+        "0.59999999999999998,0.20000000000000001,0\n"
+        "0.59999999999999998,0.45000000000000001,10000000000000000\n"
+        "0.59999999999999998,0.69999999999999996,0\n"
+        "0.84999999999999998,-0.29999999999999999,0\n"
+        "0.84999999999999998,-0.049999999999999989,0\n"
+        "0.84999999999999998,0.20000000000000001,0\n"
+        "0.84999999999999998,0.45000000000000001,0\n"
+        "0.84999999999999998,0.69999999999999996,0\n"
+        "1.1000000000000001,-0.29999999999999999,0\n"
+        "1.1000000000000001,-0.049999999999999989,0\n"
+        "1.1000000000000001,0.20000000000000001,0\n"
+        "1.1000000000000001,0.45000000000000001,0\n"
+        "1.1000000000000001,0.69999999999999996,0.33333333333333331\n"
+    ).encode()
+    assert (tmp_path / "f.csv.meta.json").read_text() == (
+        '{"extent": 1.0, "nx": 5, "origin": [0.1, -0.3]}\n')

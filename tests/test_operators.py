@@ -276,13 +276,49 @@ def test_central_residual_constant_hessian(op, expected):
 
 def test_wide_exact_for_axis_aligned_hessian():
     # the eigenframe (0 degrees) belongs to every wide frame set, so the wide
-    # extremum over frames hits the true Pucci value for diagonal Hessians
+    # extremum over frames hits the true value for diagonal Hessians
     g = GridSpec(33)
-    fld = quad_field(g, 1.0, 0.0, -0.5)  # D2u = diag(2, -1)
-    ref = pucci_eval(SymMat2(2.0, 0.0, -1.0), ELL, "minus")
-    for k in (4, 8):
-        res = residual_interior(fld.values, g.h, "M_minus", SchemeSpec("wide", k), ell=ELL)
-        assert np.allclose(res, ref, atol=1e-8)
+    fld = quad_field(g, 1.0, 0.0, -0.5)  # D2u = diag(2, -1): trace 1, Frobenius norm sqrt(5)
+    eps = 0.05
+    hh = heaviside_smooth(fld.values[1:-1, 1:-1], eps)
+    assert hh.min() == 0.0 and hh.max() == 1.0
+    fro_lo, fro_hi = 1.0 - 0.5 * math.sqrt(5.0), 1.0 + 0.5 * math.sqrt(5.0)
+    cases = [
+        ("M_minus", None, pucci_eval(SymMat2(2.0, 0.0, -1.0), ELL, "minus")),
+        ("F_minus", "identity", 1.0),
+        ("F_plus", "identity", 1.0),
+        ("G_eps", "identity", 1.0),
+        ("F_minus", "frobenius", fro_lo),
+        ("F_plus", "frobenius", fro_hi),
+        ("G_eps", "frobenius", hh * fro_lo + (1.0 - hh) * fro_hi),
+    ]
+    for op, name, ref in cases:
+        kw = dict(ell=ELL) if name is None else dict(pair=PAIRS[name], eps=eps)
+        for k in (4, 8):
+            res = residual_interior(fld.values, g.h, op, SchemeSpec("wide", k), **kw)
+            assert np.allclose(res, ref, atol=1e-8), (op, name, k)
+
+
+@pytest.mark.parametrize("scheme", [SchemeSpec(), SchemeSpec("wide", 4)])
+@pytest.mark.parametrize("name", ["pucci", "identity", "frobenius"])
+def test_g_eps_shared_family_matches_its_branches_bitwise(scheme, name):
+    # one family on both sides takes F- and F+ from the same eigenvalues; the
+    # result is the blend of the two one-sided residuals, bit for bit
+    g = GridSpec(33)
+    X, Y = g.node_coords()
+    u = np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.3 * X * Y - 0.1
+    eps = 0.05
+    pair = PAIRS[name]
+    fam = pair.minus
+    twin = OperatorPair(fam, MatrixFamily(fam.kind, fam.ell, r0=fam.r0))
+    assert twin.minus == twin.plus and twin.minus is not twin.plus
+    fm = residual_interior(u, g.h, "F_minus", scheme, pair=pair)
+    fp = residual_interior(u, g.h, "F_plus", scheme, pair=pair)
+    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
+    blend = hh * fm + (1.0 - hh) * fp
+    for p in (pair, twin):
+        res = residual_interior(u, g.h, "G_eps", scheme, pair=p, eps=eps)
+        assert res.tobytes() == blend.tobytes()
 
 
 def test_wide_direction_gap_shrinks():
@@ -338,15 +374,6 @@ def test_discrete_residual_rejects_nan():
     vals[4, 4] = np.nan
     with pytest.raises(InputError):
         discrete_residual(GridField(g, vals), "laplacian", SchemeSpec())
-
-
-def test_wide_fallback_telemetry_recorded():
-    g = GridSpec(17)
-    fld = quad_field(g, 1.0, 0.0, 1.0)
-    tel = {}
-    residual_interior(fld.values, g.h, "M_minus", SchemeSpec("wide", 4), ell=ELL,
-                      telemetry=tel)
-    assert tel["wide_fallback_nodes"] == 0
 
 
 def test_g_eps_reduces_to_branches_far_from_zero():
