@@ -9,7 +9,7 @@ a cell of the walls take it from one cell in, where it is a central
 difference.
 
 On top of the curve sit the diagnostics: coincidence of the two phase
-boundaries (Hausdorff distance between the +delta and -delta level curves),
+boundaries (Hausdorff distance between one level curve of each phase),
 linear-growth classification of interface points, two-plane slope fits with
 the equal-slope check, band flatness of level sets, and cone monotonicity
 measured on a dyadic epsilon ladder.
@@ -204,14 +204,21 @@ def _sup_dist_to_curve(pts: np.ndarray, curve: FreeBoundaryCurve) -> float:
 
 
 def boundary_consistency(u: GridField) -> float:
-    """Hausdorff distance between the +delta and -delta level curves,
-    delta = h Lip(u).  NaN flags a degenerate input (a missing phase)."""
-    lip = lipschitz_seminorm(u)
-    if lip == 0.0:
-        return math.nan
-    delta = u.spec.h * lip
-    plus = extract_zero_set(GridField(u.spec, np.maximum(u.values, 0.0) - delta))
-    minus = extract_zero_set(GridField(u.spec, delta - np.maximum(-u.values, 0.0)))
+    """Hausdorff distance between the level curves u+ = delta+ and
+    u- = delta-, where u+- = max(+-u, 0) and delta+- = h Lip(u+-).
+
+    Each phase's level comes from that phase's own slope, so it sits about
+    one cell from the interface whatever the other phase's slope.  NaN flags
+    a degenerate input (a missing phase).
+    """
+    curves = []
+    for sign in (1.0, -1.0):
+        phase = GridField(u.spec, np.maximum(sign * u.values, 0.0))
+        lip = lipschitz_seminorm(phase)
+        if lip == 0.0:
+            return math.nan
+        curves.append(extract_zero_set(GridField(u.spec, phase.values - u.spec.h * lip)))
+    plus, minus = curves
     if plus.is_empty or minus.is_empty:
         return math.nan
     return max(_sup_dist_to_curve(plus.vertices, minus),

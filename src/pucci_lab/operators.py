@@ -24,17 +24,21 @@ with the wide stencil.
 
 Discretization: either the 9-point central Hessian (u_xy by the four-corner
 average) or a wide stencil with K direction pairs at angles k pi / (2K).
-Wide-stencil directional second differences use bilinear off-grid samples at
-x +- h v; the raw difference of bilinear samples carries a known O(1) bias
--( fx(1-fx) u_xx + fy(1-fy) u_yy ) with fx, fy the sample cell fractions, so
-the exact-coefficient axis-difference correction is added back, for
-consistency O(h^2 + 1/K^2).  The correction makes some off-center weights
-negative: along (cos t, sin t) the weight on the (1, 0) neighbour is
-cos t (cos t - sin t), -0.207 at t = 67.5 degrees, so the corrected scheme is
-not monotone.
+The wide stencil's second difference along v = (c, s), c, s >= 0, is the
+7-point quadratic form v.H.v with H = [[u_xx, u_xy+], [u_xy+, u_yy]] and
+u_xy+ = (D+ - u_xx - u_yy) / 2, D+ = (u_NE + u_SW - 2u) / h^2; along
+v_perp = (-s, c) the mixed term is u_xy- = (u_xx + u_yy - D-) / 2 with
+D- = (u_NW + u_SE - 2u) / h^2.  The four-corner u_xy is the mean of u_xy+
+and u_xy-.  This is exactly the difference of bilinear samples at x +- h v
+with its O(1) bias fx(1-fx) u_xx + fy(1-fy) u_yy removed, consistent to
+O(h^2 + 1/K^2).  In units of 1/h^2 its weights along v are c(c - s) on
+E and W, s(s - c) on N and S, cs on NE and SW and -2(1 - cs) at the centre.
+One axis weight is negative at every angle that is not a multiple of
+45 degrees, down to (1 - sqrt 2)/2 = -0.207 (on N and S at 22.5 degrees,
+on E and W at 67.5), so the scheme is not monotone.
 
 Both schemes reduce to a list of discrete Hessians, the frames: the central
-Hessian, or the K corrected directional pairs (d1, d2) taken as diag(d1, d2).
+Hessian, or the K directional pairs (d1, d2) taken as diag(d1, d2).
 One kernel per family gives inf and sup of tr(A M) on each frame, and the
 residual takes the min (inf side) or max (sup side) over the frames.
 """
@@ -294,57 +298,27 @@ def _resolve(op: str, pair: OperatorPair | None, ell: Ellipticity | None, eps):
     return pair, ell
 
 
-def _dir_second_diff(u: np.ndarray, h: float, dx: float, dy: float, dxx, dyy):
-    """Corrected directional second difference along v = (dx, dy), |v| = 1.
-
-    Bilinear samples at x +- h v, plus the closed-form bias correction
-    fx(1-fx) dxx + fy(1-fy) dyy (dxx, dyy: axis second differences).
-    """
-    n = u.shape[0]
-
-    def sample(sx, sy):
-        # base offset in {-1, 0} keeps all four corner blocks inside the array
-        bx = min(int(math.floor(sx + 1e-12)), 0)
-        by = min(int(math.floor(sy + 1e-12)), 0)
-        fx = sx - bx
-        fy = sy - by
-        if fx < 1e-12:
-            fx = 0.0
-        elif fx > 1.0 - 1e-12:
-            fx = 1.0
-        if fy < 1e-12:
-            fy = 0.0
-        elif fy > 1.0 - 1e-12:
-            fy = 1.0
-        block = lambda ox, oy: u[1 + bx + ox : n - 1 + bx + ox, 1 + by + oy : n - 1 + by + oy]
-        return (
-            (1 - fx) * (1 - fy) * block(0, 0)
-            + fx * (1 - fy) * block(1, 0)
-            + (1 - fx) * fy * block(0, 1)
-            + fx * fy * block(1, 1)
-        ), fx, fy
-
-    plus, fx, fy = sample(dx, dy)
-    minus, _, _ = sample(-dx, -dy)
-    raw = (plus + minus - 2.0 * u[1:-1, 1:-1]) / (h * h)
-    return raw - fx * (1.0 - fx) * dxx - fy * (1.0 - fy) * dyy
-
-
 def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
     """The scheme's discrete Hessians as (a, b, c) entries of [[a, b], [b, c]].
 
     central: the one central Hessian.  wide: per angle i pi / (2K), the
-    corrected second differences along v and its orthogonal complement,
-    diag(d1, d2) in the frame (v, v_perp).
+    7-point second differences v.H.v along v = (c, s) and its orthogonal
+    complement, diag(d1, d2) in the frame (v, v_perp); H takes its mixed
+    term from the diagonal in the direction's quadrant.
     """
     if scheme.kind == "central":
         return [(uxx, uxy, uyy)]
+    h2 = h * h
+    dp = (u[2:, 2:] + u[:-2, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NE, SW
+    dm = (u[:-2, 2:] + u[2:, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NW, SE
+    uxy_p = 0.5 * (dp - uxx - uyy)
+    uxy_m = 0.5 * (uxx + uyy - dm)
     frames = []
     for i in range(scheme.k):
         th = i * math.pi / (2 * scheme.k)
-        cs, sn = math.cos(th), math.sin(th)
-        frames.append((_dir_second_diff(u, h, cs, sn, uxx, uyy), 0.0,
-                       _dir_second_diff(u, h, -sn, cs, uxx, uyy)))
+        c, s = math.cos(th), math.sin(th)
+        frames.append((c * c * uxx + s * s * uyy + 2.0 * c * s * uxy_p, 0.0,
+                       s * s * uxx + c * c * uyy - 2.0 * c * s * uxy_m))
     return frames
 
 
@@ -374,9 +348,9 @@ def residual_interior(
 ) -> np.ndarray:
     """Residual of the selected operator on the interior block, shape (nx-2, nx-2).
 
-    The laplacian is the trace of the central Hessian on either scheme.  The
-    wide stencil samples at x +- h v, which fits inside the one-node
-    Dirichlet ring for every interior node.
+    The laplacian is the trace of the central Hessian on either scheme.  Both
+    schemes read only the 3x3 neighbourhood of each node, which fits inside
+    the one-node Dirichlet ring for every interior node.
     """
     pair, ell = _resolve(op, pair, ell, eps)
     uxx, uyy, uxy = central_hessian(u, h)

@@ -15,6 +15,7 @@ from pucci_lab import (
     OperatorPair,
     SchemeSpec,
     SymMat2,
+    bilinear_sample,
     central_hessian,
     discrete_residual,
     eig2,
@@ -297,6 +298,75 @@ def test_wide_exact_for_axis_aligned_hessian():
         for k in (4, 8):
             res = residual_interior(fld.values, g.h, op, SchemeSpec("wide", k), **kw)
             assert np.allclose(res, ref, atol=1e-8), (op, name, k)
+
+
+def bilinear_wide_frames(fld, k):
+    """Wide frames from their definition: the difference of bilinear samples
+    at x +- h v, minus its bias fx(1-fx) u_xx + fy(1-fy) u_yy."""
+    g, u = fld.spec, fld.values
+    X, Y = g.node_coords()
+    x, y, u0 = X[1:-1, 1:-1], Y[1:-1, 1:-1], u[1:-1, 1:-1]
+    uxx, uyy, _ = central_hessian(u, g.h)
+
+    def second_diff(vx, vy):
+        plus = bilinear_sample(fld, x + g.h * vx, y + g.h * vy)
+        minus = bilinear_sample(fld, x - g.h * vx, y - g.h * vy)
+        # the cell fractions of x +- h v are |vx|, |vy| or their complements
+        fx, fy = abs(vx), abs(vy)
+        return ((plus + minus - 2.0 * u0) / g.h ** 2
+                - fx * (1.0 - fx) * uxx - fy * (1.0 - fy) * uyy)
+
+    frames = []
+    for i in range(k):
+        c, s = math.cos(i * math.pi / (2 * k)), math.sin(i * math.pi / (2 * k))
+        frames.append((second_diff(c, s), second_diff(-s, c)))
+    return frames
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_wide_matches_bilinear_reference(k):
+    # the sample points x +- h v round to ulp(x), which moves the reference's
+    # cell fractions by about nx ulp: at 17 nodes that stays under the tolerance
+    g = GridSpec(17)
+    u = np.random.default_rng(k).standard_normal((17, 17))
+    fld = GridField(g, u)
+    eps = 0.5
+    lam, Lam = ELL.lam, ELL.Lam
+
+    def m_minus(d1, d2):  # eigenvalues of diag(d1, d2) are d1, d2
+        return sum(lam * np.maximum(d, 0.0) + Lam * np.minimum(d, 0.0) for d in (d1, d2))
+
+    def m_plus(d1, d2):
+        return sum(Lam * np.maximum(d, 0.0) + lam * np.minimum(d, 0.0) for d in (d1, d2))
+
+    frames = bilinear_wide_frames(fld, k)
+    lo = np.min([m_minus(*f) for f in frames], axis=0)
+    hi = np.max([m_plus(*f) for f in frames], axis=0)
+    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
+    assert ((0.0 < hh) & (hh < 1.0)).any()  # both branches blend somewhere
+    tol = 1e-14 * np.abs(u).max() / g.h ** 2
+    wide = SchemeSpec("wide", k)
+    res = residual_interior(u, g.h, "M_minus", wide, ell=ELL)
+    assert np.abs(res - lo).max() <= tol
+    res = residual_interior(u, g.h, "G_eps", wide, pair=PAIRS["pucci"], eps=eps)
+    assert np.abs(res - (hh * lo + (1.0 - hh) * hi)).max() <= tol
+
+
+@pytest.mark.parametrize("delta", [0.3, -0.3])
+def test_wide_stencil_weights_on_east_neighbour(delta):
+    # along v = (c, s) the E weight is c (c - s) / h^2, along v_perp s (s - c) / h^2
+    g = GridSpec(9)
+    u = np.zeros((9, 9))
+    u[5, 4] = delta  # the E neighbour of node (4, 4)
+    k = 8
+    res = residual_interior(u, g.h, "M_minus", SchemeSpec("wide", k), ell=ELL)
+    ref = min(
+        pucci_eval(SymMat2(c * (c - s) * delta / g.h ** 2, 0.0, s * (s - c) * delta / g.h ** 2),
+                   ELL, "minus")
+        for c, s in ((math.cos(i * math.pi / (2 * k)), math.sin(i * math.pi / (2 * k)))
+                     for i in range(k))
+    )
+    assert res[3, 3] == pytest.approx(ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", [SchemeSpec(), SchemeSpec("wide", 4)])
