@@ -44,12 +44,12 @@ print(f"\ncurve: {curve.vertices.shape[0]} vertices, {len(curve.segments)} segme
 print(f"  vertex nearest the center {tuple(round(float(v), 4) for v in curve.vertices[k])}, "
       f"normal {tuple(round(float(v), 4) for v in curve.normals[k])}")
 
-# Level-pair consistency compares the +delta and -delta curves at
-# delta = h Lip(u); for a two-plane field the offset between them is
-# delta (1/alpha + 1/beta) by construction.
+# Level-pair consistency compares the level curves u+ = delta+ and
+# u- = delta-, delta+- = h Lip(u+-), away from the walls; on a two-plane
+# field each sits at most h from the interface, whatever the slopes.
 bc = boundary_consistency(u)
 print(f"  level-pair consistency {bc:.5f} = {bc / g.h:.2f} h "
-      f"(plane prediction ~ Lip h (1/alpha + 1/beta))")
+      f"(coincident planes read at most 2h)")
 
 # Scaled Dirichlet products over shrinking balls.  For exact planes the
 # product J_r(u+) J_r(u-) is radius-free and pins the planar constant.

@@ -473,9 +473,7 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
 
             try:
                 if cfg["cone.angle"] is not None:
-                    axis = math.radians(cfg["cone.angle"])
-                    cone = ConeSpec((math.cos(axis), math.sin(axis)),
-                                    math.radians(cfg["cone.theta"]))
+                    cone = ConeSpec.from_degrees(cfg["cone.angle"], cfg["cone.theta"])
                 elif fit is not None:
                     cone = ConeSpec(fit.nu, math.radians(cfg["cone.theta"]))
                 else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import ConfigurationError, DomainError, InputError
+from .errors import ConfigurationError, InputError
 from .grid import GridField, GridSpec, bilinear_sample, gradient_field, rescale_blowup
 from .solver import lipschitz_seminorm
 
@@ -59,7 +59,6 @@ class SlopeFit:
     alpha: float
     beta: float
     residual: float          # sup |u_r - profile| over the unit-ball fit annulus
-    radii_used: tuple[float, ...]
     no_asymptote: bool       # residual stayed above 0.5 at every radius
 
 
@@ -69,7 +68,6 @@ class RegularityRecord:
 
     x0: tuple[float, float]
     M: float                 # min over radii of sup |u| / r
-    r_tilde: float           # largest validated radius
     is_regular: bool
     c_lower: float           # min over radii and phases of sup u_i / r
     C_upper: float           # max over radii and phases of sup u_i / r
@@ -205,24 +203,31 @@ def _sup_dist_to_curve(pts: np.ndarray, curve: FreeBoundaryCurve) -> float:
 
 def boundary_consistency(u: GridField) -> float:
     """Hausdorff distance between the level curves u+ = delta+ and
-    u- = delta-, where u+- = max(+-u, 0) and delta+- = h Lip(u+-).
+    u- = delta-, where u+- = max(+-u, 0) and delta+- = h Lip(u+-), over the
+    vertices at least 4h from the walls.
 
     Each phase's level comes from that phase's own slope, so it sits about
-    one cell from the interface whatever the other phase's slope.  NaN flags
-    a degenerate input (a missing phase).
+    one cell from the interface whatever the other phase's slope.  The two
+    curves end at different wall points, so the sup skips each curve's
+    vertices near the walls, while the distance is still taken to the whole
+    other curve.  NaN flags a degenerate input (a missing phase).
     """
+    spec = u.spec
     curves = []
     for sign in (1.0, -1.0):
-        phase = GridField(u.spec, np.maximum(sign * u.values, 0.0))
+        phase = GridField(spec, np.maximum(sign * u.values, 0.0))
         lip = lipschitz_seminorm(phase)
         if lip == 0.0:
             return math.nan
-        curves.append(extract_zero_set(GridField(u.spec, phase.values - u.spec.h * lip)))
+        curves.append(extract_zero_set(GridField(spec, phase.values - spec.h * lip)))
     plus, minus = curves
-    if plus.is_empty or minus.is_empty:
+    lo = np.asarray(spec.origin) + 4.0 * spec.h
+    hi = np.asarray(spec.origin) + spec.extent - 4.0 * spec.h
+    far_plus, far_minus = (c.vertices[np.all((c.vertices >= lo) & (c.vertices <= hi), axis=1)]
+                           for c in curves)
+    if far_plus.shape[0] == 0 or far_minus.shape[0] == 0:
         return math.nan
-    return max(_sup_dist_to_curve(plus.vertices, minus),
-               _sup_dist_to_curve(minus.vertices, plus))
+    return max(_sup_dist_to_curve(far_plus, minus), _sup_dist_to_curve(far_minus, plus))
 
 
 def _polar_offsets(rad: float, n_dir: int, n_rad: int):
@@ -273,19 +278,14 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0):
         raise InputError("radii must be a nonempty 1-D array of positive reals")
-    spec = u.spec
-    ox, oy = spec.origin
-    rmax = float(radii.max())
-    if (x0[0] - rmax < ox or x0[0] + rmax > ox + spec.extent
-            or x0[1] - rmax < oy or x0[1] + rmax > oy + spec.extent):
-        raise DomainError(f"ball of radius {rmax:g} around {tuple(x0)} exits the domain square")
+    u.spec.require_ball(x0, float(radii.max()))
     lip = lipschitz_seminorm(u)
     if m_min is None:
-        m_min = 10.0 * spec.h * lip / float(radii.min())
+        m_min = 10.0 * u.spec.h * lip / float(radii.min())
 
-    sup_abs = np.array([ball_sup(u, x0, r, "abs") for r in radii])
-    sup_pos = np.array([ball_sup(u, x0, r, "plus") for r in radii])
-    sup_neg = np.array([ball_sup(u, x0, r, "minus") for r in radii])
+    sup_abs = np.array([ball_sup(u, x0, r, "abs", 1e-3 * lip * r) for r in radii])
+    sup_pos = np.array([ball_sup(u, x0, r, "plus", 1e-3 * lip * r) for r in radii])
+    sup_neg = np.array([ball_sup(u, x0, r, "minus", 1e-3 * lip * r) for r in radii])
     M = float((sup_abs / radii).min())
     growth = np.concatenate([sup_pos / radii, sup_neg / radii])
     c_lower = float(growth.min())
@@ -303,7 +303,6 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
     return RegularityRecord(
         x0=(float(x0[0]), float(x0[1])),
         M=M,
-        r_tilde=rmax,
         is_regular=bool(M >= m_min),
         c_lower=c_lower,
         C_upper=C_upper,
@@ -383,7 +382,6 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
         alpha=alpha,
         beta=beta,
         residual=residual,
-        radii_used=radii,
         no_asymptote=all(f[3] > 0.5 for f in fits),
     )
 

@@ -7,8 +7,9 @@ Conventions
   with ``nx`` nodes per side, so the spacing is ``h = extent / (nx - 1)``.
 * ``values[i, j]`` holds the sample at ``(ox + i h, oy + j h)`` ("ij"
   indexing: first axis is x).
-* Dirichlet data lives on the one-node outer ring; the ring is exactly the
-  set flagged by ``boundary_mask``.
+* Dirichlet data lives on the one-node outer ring,
+  ``GridSpec.boundary_ring()``; a field's ``boundary_mask`` is that ring,
+  derived from its spec.
 
 CSV exchange writes one ``x,y,value`` row per node in row-major order with
 17 significant digits (lossless for binary64) and a JSON sidecar recording
@@ -18,7 +19,7 @@ CSV exchange writes one ``x,y,value`` row per node in row-major order with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +67,9 @@ class GridSpec:
         mask[:, 0] = mask[:, -1] = True
         return mask
 
-    def contains(self, x, y, slack: float | None = None) -> np.ndarray:
+    def contains(self, x, y) -> np.ndarray:
         """Pointwise test against the closed square, with a tiny rounding slack."""
-        if slack is None:
-            slack = _SNAP * self.extent
+        slack = _SNAP * self.extent
         ox, oy = self.origin
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -80,14 +80,23 @@ class GridSpec:
             & (y <= oy + self.extent + slack)
         )
 
+    def require_ball(self, x0, r: float) -> None:
+        """Raise :class:`DomainError` unless the closed ball B_r(x0) lies in
+        the domain square."""
+        ox, oy = self.origin
+        if (x0[0] - r < ox or x0[0] + r > ox + self.extent
+                or x0[1] - r < oy or x0[1] + r > oy + self.extent):
+            raise DomainError(
+                f"ball of radius {r:g} around ({x0[0]:g}, {x0[1]:g}) exits the domain square"
+            )
+
 
 @dataclass
 class GridField:
-    """Scalar samples on a :class:`GridSpec`, with the Dirichlet ring flagged."""
+    """Scalar samples on a :class:`GridSpec`."""
 
     spec: GridSpec
     values: np.ndarray
-    boundary_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -95,30 +104,23 @@ class GridField:
             raise InputError(
                 f"values shape {self.values.shape} does not match nx={self.spec.nx}"
             )
-        ring = self.spec.boundary_ring()
-        if self.boundary_mask is None:
-            self.boundary_mask = ring
-        else:
-            self.boundary_mask = np.asarray(self.boundary_mask, dtype=bool)
-            if self.boundary_mask.shape != ring.shape or not np.array_equal(self.boundary_mask, ring):
-                raise InputError("boundary_mask must be exactly the one-node outer ring")
+
+    @property
+    def boundary_mask(self) -> np.ndarray:
+        """The Dirichlet ring of the spec, a fresh boolean array."""
+        return self.spec.boundary_ring()
 
     def copy(self) -> "GridField":
         return GridField(self.spec, self.values.copy())
 
-    def interior(self) -> np.ndarray:
-        """View of the interior block values[1:-1, 1:-1]."""
-        return self.values[1:-1, 1:-1]
-
 
 @dataclass
 class VectorField:
-    """Gradient samples; ``one_sided`` flags nodes using one-sided differences."""
+    """Gradient samples of a :class:`GridField` (see :func:`gradient_field`)."""
 
     spec: GridSpec
     gx: np.ndarray
     gy: np.ndarray
-    one_sided: np.ndarray
 
 
 def make_grid(spec: GridSpec, boundary_fn) -> GridField:
@@ -156,7 +158,7 @@ def gradient_field(fld: GridField) -> VectorField:
     gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
     gy[:, 0] = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * h)
     gy[:, -1] = (3 * u[:, -1] - 4 * u[:, -2] + u[:, -3]) / (2 * h)
-    return VectorField(fld.spec, gx, gy, fld.spec.boundary_ring())
+    return VectorField(fld.spec, gx, gy)
 
 
 def bilinear_sample(fld: GridField, x, y):
@@ -205,18 +207,8 @@ def rescale_blowup(fld: GridField, x0, r: float, out_spec: GridSpec) -> GridFiel
     """
     if not (r > 0) or not np.isfinite(r):
         raise InputError(f"blow-up radius must be positive, got {r!r}")
-    spec = fld.spec
-    ox, oy = spec.origin
     x0 = (float(x0[0]), float(x0[1]))
-    if (
-        x0[0] - 2 * r < ox
-        or x0[0] + 2 * r > ox + spec.extent
-        or x0[1] - 2 * r < oy
-        or x0[1] + 2 * r > oy + spec.extent
-    ):
-        raise DomainError(
-            f"ball of radius 2r={2 * r:g} around {x0} exits the domain square"
-        )
+    fld.spec.require_ball(x0, 2 * r)
     XI, ETA = out_spec.node_coords()
     vals = bilinear_sample(fld, x0[0] + r * XI.ravel(), x0[1] + r * ETA.ravel())
     return GridField(out_spec, np.asarray(vals).reshape(XI.shape) / r)

@@ -6,7 +6,7 @@ For a nonnegative phase u_i and a base point x0,
     J_r(u_i, x0) = (1/r^2) integral over B_r(x0) of |grad u_i|^2,
 
 the planar kernel being identically 1 (the |x - x0|^(n-2) weight degenerates
-at n = 2; other dimensions are rejected).  The product J_r(u) =
+at n = 2, the only dimension in scope).  The product J_r(u) =
 J_r(u1) J_r(u2) of the positive and negative parts of a sign-changing field
 is non-decreasing in r for true solutions; on a two-plane field with slopes
 alpha, beta it is the constant (pi^2 / 4) alpha^2 beta^2.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputError
+from .errors import ConfigurationError, InputError
 from .grid import GridField
 
 VERDICTS = ("PASS", "FAIL", "DEGENERATE")
@@ -58,17 +58,8 @@ class JrSeries:
 @dataclass(frozen=True)
 class SeriesVerdict:
     verdict: str
-    slack: float
     constancy_defect: float  # max_k |j_k - j_1| / j_1; nan when degenerate
     worst_drop: float        # largest relative decrease between consecutive radii
-
-
-def _require_ball_inside(fld: GridField, x0, r: float):
-    ox, oy = fld.spec.origin
-    ext = fld.spec.extent
-    if (x0[0] - r < ox or x0[0] + r > ox + ext
-            or x0[1] - r < oy or x0[1] + r > oy + ext):
-        raise DomainError(f"ball of radius {r:g} around {tuple(x0)} exits the domain square")
 
 
 def _cell_gradients(u: np.ndarray, h: float):
@@ -86,24 +77,18 @@ def _cell_centers(fld: GridField):
 
 
 def _tri_positive_fraction(a, b, c):
-    """Area fraction of {v > 0} for a linear interpolant on a triangle."""
-    pos = (a > 0.0).astype(int) + (b > 0.0).astype(int) + (c > 0.0).astype(int)
-    out = np.where(pos == 3, 1.0, 0.0)
+    """Area fraction of {v > 0} for a linear interpolant on a triangle.
 
-    def lone(v, w1, w2):
-        # exactly one strictly positive corner v; the positive region is the
-        # similar corner triangle cut off by the zero chords
-        return v * v / np.where((v - w1) * (v - w2) == 0.0, 1.0, (v - w1) * (v - w2))
-
-    one = np.select(
-        [(a > 0) & (b <= 0) & (c <= 0), (b > 0) & (a <= 0) & (c <= 0),
-         (c > 0) & (a <= 0) & (b <= 0)],
-        [lone(a, b, c), lone(b, a, c), lone(c, a, b)], 0.0)
-    two = np.select(
-        [(a <= 0) & (b > 0) & (c > 0), (b <= 0) & (a > 0) & (c > 0),
-         (c <= 0) & (a > 0) & (b > 0)],
-        [1.0 - lone(-a, -b, -c), 1.0 - lone(-b, -a, -c), 1.0 - lone(-c, -a, -b)], 0.0)
-    return np.where(pos == 1, one, np.where(pos == 2, two, out))
+    With the corners sorted lo <= mid <= hi, the zero chords cut off the
+    corner triangle at lo (when mid > 0) or at hi (when only hi > 0); the
+    similar-triangle ratio gives its area.  The selected branch never divides
+    by zero; the others may, so their warnings are silenced.
+    """
+    lo, mid, hi = np.sort(np.stack([a, b, c]), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lo > 0.0, 1.0,
+                        np.where(mid > 0.0, 1.0 - lo * lo / ((lo - mid) * (lo - hi)),
+                                 np.where(hi > 0.0, hi * hi / ((hi - lo) * (hi - mid)), 0.0)))
 
 
 def positive_cell_fraction(u: np.ndarray) -> np.ndarray:
@@ -123,13 +108,11 @@ def positive_cell_fraction(u: np.ndarray) -> np.ndarray:
     return 0.25 * total
 
 
-def j_r(u_i: GridField, x0, r: float, n: int = 2) -> float:
+def j_r(u_i: GridField, x0, r: float) -> float:
     """Normalized Dirichlet energy of one phase over B_r(x0)."""
-    if n != 2:
-        raise ConfigurationError("only the planar kernel (n = 2) is in scope")
     if not (r > 0.0) or not math.isfinite(r):
         raise InputError(f"radius must be positive, got {r!r}")
-    _require_ball_inside(u_i, x0, r)
+    u_i.spec.require_ball(x0, r)
     if float(u_i.values.min()) < -1e-12:
         raise InputError("j_r expects a nonnegative phase (a positive or negative part)")
     h = u_i.spec.h
@@ -165,7 +148,7 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
         raise InputError("radii must be positive and strictly increasing")
     if not (0.0 <= eta < 1.0):
         raise ConfigurationError(f"slack eta must be in [0, 1), got {eta!r}")
-    _require_ball_inside(u, x0, float(radii[-1]))
+    u.spec.require_ball(x0, float(radii[-1]))
 
     h = u.spec.h
     vals = u.values
@@ -209,17 +192,17 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     j = j1 * j2
 
     j0 = float(j[0])
-    if radii.size >= 2 and j[1] != j[0]:
+    if j[1] != j[0]:
         j0 = float(max(0.0, j[0] - radii[0] * (j[1] - j[0]) / (radii[1] - radii[0])))
     series = JrSeries(tuple(float(v) for v in x0), radii, j1, j2, j, j0)
 
     if np.all(j <= 0.0):
-        return series, SeriesVerdict("DEGENERATE", eta, math.nan, math.nan)
+        return series, SeriesVerdict("DEGENERATE", math.nan, math.nan)
     drops = (j[:-1] - j[1:]) / np.where(j[:-1] == 0.0, 1.0, j[:-1])
     worst = float(max(0.0, drops.max()))
     verdict = "PASS" if worst <= eta else "FAIL"
     defect = float(np.max(np.abs(j - j[0])) / j[0]) if j[0] > 0.0 else math.inf
-    return series, SeriesVerdict(verdict, eta, defect, worst)
+    return series, SeriesVerdict(verdict, defect, worst)
 
 
 def series_to_csv(series: JrSeries, path) -> None:

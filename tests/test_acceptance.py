@@ -356,10 +356,9 @@ def test_criterion_11_flatness_and_coincidence(scalar_limit, regular_points):
            f"flats {' '.join(flat_detail)}, consistency {bc / h:.4f}h, "
            f"dead-core control {cored / h:.4f}h, bound 3h")
     assert flats_ok
-    # the level-pair gap where the curves exit the wall is 2 delta / (edge
-    # slope) >= 2h even for exactly coincident phases, so 2h is the infimum
-    # of the measurement; one cell more admits no phase gap that holds a
-    # node.  See the acceptance-battery section of the README
+    # exactly coincident phases read at most 2h (the 360-angle sweep in
+    # test_freeboundary.py); the bound is one cell more.  See the
+    # acceptance-battery section of the README
     assert bc <= bound
     assert cored > bound
 

@@ -132,6 +132,21 @@ def test_boundary_consistency_two_plane_offset_geometry():
         boundary_consistency(make_fixture(g, "two_plane", alpha=1.0, beta=1.0, angle=20.0)))
 
 
+def test_boundary_consistency_coincident_sweep_and_dead_core():
+    # the sup runs over vertices at least 4h from the walls, where the tilted
+    # level curves of coincident phases do not overhang each other; a 2h dead
+    # core at one of the swept angles is the control that must still fail 3h
+    g = GridSpec(65)
+    readings = [boundary_consistency(make_fixture(g, "two_plane", alpha=1.0, beta=1.0,
+                                                  angle=0.5 * k)) for k in range(360)]
+    assert max(readings) <= 3.0 * g.h
+    xx, yy = g.node_coords()
+    a = math.radians(20.0)
+    d = (xx - 0.5) * math.cos(a) + (yy - 0.5) * math.sin(a)
+    cored = GridField(g, np.maximum(d - g.h, 0.0) - np.maximum(-d - g.h, 0.0))
+    assert boundary_consistency(cored) > 3.0 * g.h
+
+
 def test_boundary_consistency_flags_dead_core():
     g = GridSpec(65)
     xx, _ = g.node_coords()
@@ -171,7 +186,6 @@ def test_classify_regular_even_plane():
     assert rec.C_upper == pytest.approx(1.0, abs=5e-3)
     assert rec.zero_density == pytest.approx(0.5, abs=0.02)
     assert rec.is_regular
-    assert rec.r_tilde == pytest.approx(0.2)
 
 
 def test_classify_regular_uneven_plane():
@@ -279,7 +293,7 @@ def test_fit_two_plane_radii_validation():
 
 def test_check_alpha_beta_verdicts():
     def fit(a, b):
-        return SlopeFit((0.5, 0.5), (1.0, 0.0), a, b, 0.01, (0.1,), False)
+        return SlopeFit((0.5, 0.5), (1.0, 0.0), a, b, 0.01, False)
 
     assert check_alpha_beta(fit(1.0, 1.0)) == "PASS"
     assert check_alpha_beta(fit(2.0, 3.0)) == "FAIL"

@@ -33,6 +33,10 @@ def test_spec_offset_origin():
     assert g.xs[0] == -1.0 and g.xs[-1] == pytest.approx(1.0)
     assert bool(g.contains(0.0, 0.0))
     assert not bool(g.contains(1.5, 0.0))
+    g.require_ball((0.0, 0.0), 1.0)  # a ball touching the walls is inside
+    for x0, r in (((0.5, 0.0), 0.6), ((0.0, -0.5), 0.6), ((0.0, 0.0), 1.0 + 1e-12)):
+        with pytest.raises(DomainError):
+            g.require_ball(x0, r)
 
 
 @pytest.mark.parametrize("bad", [4, 0, -3, 2.5])
@@ -52,19 +56,12 @@ def test_boundary_ring_shape_and_count():
     ring = g.boundary_ring()
     assert ring.sum() == 4 * 7 - 4
     assert not ring[1:-1, 1:-1].any()
+    assert np.array_equal(GridField(g, np.zeros((7, 7))).boundary_mask, ring)
 
 
 def test_field_shape_mismatch():
     with pytest.raises(InputError):
         GridField(GridSpec(9), np.zeros((9, 8)))
-
-
-def test_field_rejects_foreign_boundary_mask():
-    g = GridSpec(9)
-    mask = np.zeros((9, 9), dtype=bool)
-    mask[4, 4] = True
-    with pytest.raises(InputError):
-        GridField(g, np.zeros((9, 9)), boundary_mask=mask)
 
 
 def test_make_grid_fills_ring_only():
@@ -98,7 +95,6 @@ def test_gradient_exact_on_quadratics():
     grad = gradient_field(fld)
     assert np.allclose(grad.gx, 2 * X + 3 * Y, atol=1e-11)
     assert np.allclose(grad.gy, 3 * X - 2 * Y, atol=1e-11)
-    assert np.array_equal(grad.one_sided, g.boundary_ring())
 
 
 def test_bilinear_sample_node_exact():

@@ -64,8 +64,6 @@ def test_j_r_quadratic_scaling(t):
 def test_j_r_rejects_bad_input():
     g = GridSpec(33)
     u = half_plane(g, 1.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        j_r(u, (0.5, 0.5), 0.2, n=3)
     with pytest.raises(InputError):
         j_r(u, (0.5, 0.5), 0.0)
     with pytest.raises(DomainError):
@@ -169,6 +167,20 @@ def test_positive_cell_fraction_plane_through_cell_center():
     assert frac[0, 0] == pytest.approx(0.5)
     assert frac[-1, -1] == 1.0
     assert np.all((frac >= 0.0) & (frac <= 1.0))
+
+
+@pytest.mark.parametrize("cell, expected", [
+    # u[i, j] at (i h, j h); the four triangles meet at the corner mean
+    ([[1.0, 0.0], [0.0, -1.0]], 0.5),     # triangles (1, 0, 0) and (0, 1, 0): 1 each
+    ([[1.0, -1.0], [1.0, -1.0]], 0.5),    # (1, 1, 0): 1; (1, -1, 0): 1/2 twice
+    ([[0.0, 0.0], [0.0, 0.0]], 0.0),      # (0, 0, 0)
+    ([[0.0, 0.0], [0.0, 1.0]], 1.0),      # zero corners, positive center
+    ([[0.0, 0.0], [0.0, -1.0]], 0.0),
+    ([[1.0, -2.0], [-1.0, -2.0]], 5.0 / 48.0),   # (1, -1, -1): 1/4; (-2, 1, -1): 1/6
+    ([[-1.0, 2.0], [1.0, 2.0]], 43.0 / 48.0),    # (-1, 1, 1): 3/4; (2, -1, 1): 5/6
+])
+def test_positive_cell_fraction_ties_and_zeros(cell, expected):
+    assert positive_cell_fraction(np.array(cell))[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_positive_cell_fraction_complement():
