@@ -48,7 +48,6 @@ command = sweep
 grid.nx = 33
 eps_list = 0.2, 0.1, 0.05
 tol = 1e-7
-cfl = 1.0
 """)
 
     # segregate: the two-species system for edge-fed data.

@@ -362,6 +362,7 @@ def _cmd_solve(cfg: RunConfig, man: _Manifest) -> None:
         iterations=res.iterations,
         final_residual=res.final_residual,
         lipschitz_seminorm=res.lipschitz_seminorm,
+        **res.telemetry,
     )
     man.data["verdicts"]["converged"] = "PASS" if res.converged else "FAIL"
 
@@ -393,7 +394,8 @@ def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     man.data["outputs"].append("field.csv.meta.json")
     man.data["telemetry"]["entries"] = [
         {"eps": e.eps, "iterations": e.iterations, "final_residual": e.final_residual,
-         "lipschitz_seminorm": e.lipschitz_seminorm, "converged": e.converged}
+         "lipschitz_seminorm": e.lipschitz_seminorm, "converged": e.converged,
+         "stop_reason": e.stop_reason, "krylov_iterations": e.krylov_iterations}
         for e in report.entries
     ]
     man.data["telemetry"]["gaps"] = report.gaps

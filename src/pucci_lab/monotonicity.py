@@ -81,14 +81,18 @@ def _tri_positive_fraction(a, b, c):
 
     With the corners sorted lo <= mid <= hi, the zero chords cut off the
     corner triangle at lo (when mid > 0) or at hi (when only hi > 0); the
-    similar-triangle ratio gives its area.  The selected branch never divides
-    by zero; the others may, so their warnings are silenced.
+    similar-triangle ratio gives its area, as a product of two ratios that
+    each lie in [0, 1], so no corner scale overflows or underflows.  The
+    selected branch never divides by zero; the others may, so their warnings
+    are silenced.
     """
-    lo, mid, hi = np.sort(np.stack([a, b, c]), axis=0)
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lo > 0.0, 1.0,
-                        np.where(mid > 0.0, 1.0 - lo * lo / ((lo - mid) * (lo - hi)),
-                                 np.where(hi > 0.0, hi * hi / ((hi - lo) * (hi - mid)), 0.0)))
+                        np.where(mid > 0.0, 1.0 - (lo / (lo - mid)) * (lo / (lo - hi)),
+                                 np.where(hi > 0.0, (hi / (hi - lo)) * (hi / (hi - mid)), 0.0)))
 
 
 def positive_cell_fraction(u: np.ndarray) -> np.ndarray:

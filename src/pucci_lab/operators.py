@@ -40,7 +40,11 @@ on E and W at 67.5), so the scheme is not monotone.
 Both schemes reduce to a list of discrete Hessians, the frames: the central
 Hessian, or the K directional pairs (d1, d2) taken as diag(d1, d2).
 One kernel per family gives inf and sup of tr(A M) on each frame, and the
-residual takes the min (inf side) or max (sup side) over the frames.
+residual takes the min (inf side) or max (sup side) over the frames.  On
+request the kernel also returns the matrix attaining each side, the policy;
+``linearize`` turns it into the Jacobian of the residual at that policy, as
+coefficients on the second differences, and ``jacobian_apply`` applies it
+matrix-free.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
     """Pucci extremal value M-(m) (branch="minus") or M+(m) (branch="plus")."""
     if branch not in ("minus", "plus"):
         raise ConfigurationError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    lo, hi = _extremal_sides(None, ell, m.a, m.b, m.c, branch == "minus", branch == "plus")
+    lo, hi, _ = _extremal_sides(None, ell, m.a, m.b, m.c, branch == "minus", branch == "plus")
     return float(lo if branch == "minus" else hi)
 
 
@@ -159,35 +163,92 @@ def family_extremal(fam: MatrixFamily, m: SymMat2, mode: str) -> float:
     """inf (mode="inf") or sup (mode="sup") of tr(A m) over the family."""
     if mode not in ("inf", "sup"):
         raise ConfigurationError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    lo, hi = _extremal_sides(fam, fam.ell, m.a, m.b, m.c, mode == "inf", mode == "sup")
+    lo, hi, _ = _extremal_sides(fam, fam.ell, m.a, m.b, m.c, mode == "inf", mode == "sup")
     return float(lo if mode == "inf" else hi)
 
 
-def _extremal_sides(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, inf: bool, sup: bool):
-    """(inf, sup) of tr(A M) over the family, entrywise for M = [[a, b], [b, c]].
+def _extremal_sides(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, inf: bool, sup: bool,
+                    policy: bool = False, hh=None):
+    """(inf, sup, active) of tr(A M) over the family, entrywise for M = [[a, b], [b, c]].
 
     ``fam`` None is the full Pucci class of ``ell``; otherwise ``ell`` is
     ``fam.ell``.  Only the flagged sides are computed, and a side left
-    unflagged may come back as None.
+    unflagged may come back as None.  ``active`` is None unless ``policy``:
+    then it is the pair (A_inf, A_sup) of matrices attaining each flagged side,
+    as (A11, A12, A22) entries, or, when the weights ``hh`` are given (both
+    sides flagged), the single blend hh A_inf + (1 - hh) A_sup.
     """
     kind = "full_pucci" if fam is None else fam.kind
     if kind == "full_pucci":
         e1, e2 = _eig2_arrays(a, b, c)
         pos = np.maximum(e1, 0.0) + np.maximum(e2, 0.0)
         neg = np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
+        up1, up2 = (e1 > 0.0, e2 > 0.0) if policy else (None, None)
         del e1, e2  # fewer live temporaries: fewer page faults on large grids
-        return (ell.lam * pos + ell.Lam * neg if inf else None,
-                ell.Lam * pos + ell.lam * neg if sup else None)
-    if kind == "identity_only":
+        lo = ell.lam * pos + ell.Lam * neg if inf else None
+        hi = ell.Lam * pos + ell.lam * neg if sup else None
+        del pos, neg
+        if not policy:
+            return lo, hi, None
+        # A = w1 P1 + w2 P2 over the eigenprojectors, w = lam or Lam by the
+        # sign of its eigenvalue; blending by hh blends the weights
+        if hh is not None:
+            return lo, hi, _pucci_active(a, b, c, up1, up2, ell.Lam + hh * (ell.lam - ell.Lam),
+                                         ell.lam + hh * (ell.Lam - ell.lam))
+        act = (_pucci_active(a, b, c, up1, up2, ell.lam, ell.Lam) if inf else None,
+               _pucci_active(a, b, c, up1, up2, ell.Lam, ell.lam) if sup else None)
+    elif kind == "identity_only":
+        lo = hi = a + c
+        act = ((1.0, 0.0, 1.0),) * 2
+    elif kind == "frobenius_ball":
         tr = a + c
-        return tr, tr
-    if kind == "frobenius_ball":
-        tr = a + c
-        rad = fam.r0 * np.sqrt(a * a + 2.0 * b * b + c * c)
-        return tr - rad if inf else None, tr + rad if sup else None
-    # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
-    vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
-    return vals.min(axis=0) if inf else None, vals.max(axis=0) if sup else None
+        nrm = np.sqrt(a * a + 2.0 * b * b + c * c)
+        lo, hi = tr - fam.r0 * nrm if inf else None, tr + fam.r0 * nrm if sup else None
+        if not policy:
+            return lo, hi, None
+        # A = I -+ r0 M / ||M||_F, and I at M = 0
+        k = np.divide(fam.r0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
+        act = ((1.0 - k * a, -k * b, 1.0 - k * c) if inf else None,
+               (1.0 + k * a, k * b, 1.0 + k * c) if sup else None)
+    else:
+        # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
+        vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
+        lo, hi = vals.min(axis=0) if inf else None, vals.max(axis=0) if sup else None
+        if not policy:
+            return lo, hi, None
+        entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
+        act = (tuple(entries[vals.argmin(axis=0)].transpose(2, 0, 1)) if inf else None,
+               tuple(entries[vals.argmax(axis=0)].transpose(2, 0, 1)) if sup else None)
+    if not policy:
+        return lo, hi, None
+    if hh is not None:
+        return lo, hi, tuple(hh * x + (1.0 - hh) * y for x, y in zip(*act))
+    return lo, hi, act
+
+
+def _pucci_active(a, b, c, up1, up2, w_up, w_down):
+    """Entries of w1 P1 + w2 P2, P_i the eigenprojectors of [[a, b], [b, c]]
+    and w_i = w_up where eigenvalue i is positive, w_down elsewhere."""
+    # w1 P1 + w2 P2 = (w1 + w2) / 2 I + (w2 - w1) / (e2 - e1) [[(a - c) / 2, b], [b, (c - a) / 2]];
+    # at a double eigenvalue the weights agree, or M = 0, and any split is exact
+    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+    inv = np.divide(0.5, rad, out=rad, where=rad > 0.0)  # 1 / (e2 - e1), 0 where e2 = e1
+    w1 = np.where(up1, w_up, w_down)
+    w2 = np.where(up2, w_up, w_down)
+    del w_up, w_down
+    slope = w2 - w1
+    slope *= inv
+    del inv
+    w2 += w1
+    w2 *= 0.5
+    del w1
+    g = a - c
+    g *= slope
+    g *= 0.5
+    slope *= b
+    a11 = w2 + g
+    w2 -= g
+    return a11, slope, w2
 
 
 @dataclass(frozen=True)
@@ -299,15 +360,15 @@ def _resolve(op: str, pair: OperatorPair | None, ell: Ellipticity | None, eps):
 
 
 def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
-    """The scheme's discrete Hessians as (a, b, c) entries of [[a, b], [b, c]].
+    """The scheme's discrete Hessians as (a, b, c, rot) for [[a, b], [b, c]].
 
-    central: the one central Hessian.  wide: per angle i pi / (2K), the
-    7-point second differences v.H.v along v = (c, s) and its orthogonal
-    complement, diag(d1, d2) in the frame (v, v_perp); H takes its mixed
-    term from the diagonal in the direction's quadrant.
+    central: the one central Hessian, rot None.  wide: per angle i pi / (2K),
+    the 7-point second differences v.H.v along v = (c, s) and its orthogonal
+    complement, diag(d1, d2) in the frame (v, v_perp), rot (c, s); H takes
+    its mixed term from the diagonal in the direction's quadrant.
     """
     if scheme.kind == "central":
-        return [(uxx, uxy, uyy)]
+        return [(uxx, uxy, uyy, None)]
     h2 = h * h
     dp = (u[2:, 2:] + u[:-2, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NE, SW
     dm = (u[:-2, 2:] + u[2:, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NW, SE
@@ -318,23 +379,47 @@ def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
         th = i * math.pi / (2 * scheme.k)
         c, s = math.cos(th), math.sin(th)
         frames.append((c * c * uxx + s * s * uyy + 2.0 * c * s * uxy_p, 0.0,
-                       s * s * uxx + c * c * uyy - 2.0 * c * s * uxy_m))
+                       s * s * uxx + c * c * uyy - 2.0 * c * s * uxy_m, (c, s)))
     return frames
 
 
-def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, inf: bool, sup: bool):
-    """(min over the frames of the inf side, max over them of the sup side)."""
+def _frame_coefs(act, rot):
+    """Coefficients of tr(A frame) on (u_xx, u_yy, u_xy+, u_xy-) for A = (A11, A12, A22)."""
+    a11, a12, a22 = act
+    if rot is None:  # u_xy = (u_xy+ + u_xy-) / 2
+        return a11, a22, a12, a12
+    c, s = rot  # the frame is diagonal: A12 meets a zero
+    return (c * c * a11 + s * s * a22, s * s * a11 + c * c * a22,
+            2.0 * c * s * a11, -2.0 * c * s * a22)
+
+
+def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, inf: bool, sup: bool,
+                 policy: bool = False):
+    """(min over the frames of the inf side, max over them of the sup side,
+    and with ``policy`` each side's coefficients (see ``_frame_coefs``) in
+    the frame that attains it)."""
     if fam is not None and fam.kind == "finite_set" and len(frames) > 1:
         raise ConfigurationError("finite_set families are not rotation closed; "
                                  "wide stencils are unsupported")
-    lo = hi = None
-    for a, b, c in frames:
-        f_lo, f_hi = _extremal_sides(fam, ell, a, b, c, inf, sup)
+    lo = hi = k_lo = k_hi = None
+    for a, b, c, rot in frames:
+        f_lo, f_hi, act = _extremal_sides(fam, ell, a, b, c, inf, sup, policy)
         if inf:
+            if policy:
+                k_lo = _attaining(k_lo, act[0], rot, lo is None or f_lo < lo)
             lo = f_lo if lo is None else np.minimum(lo, f_lo)
         if sup:
+            if policy:
+                k_hi = _attaining(k_hi, act[1], rot, hi is None or f_hi > hi)
             hi = f_hi if hi is None else np.maximum(hi, f_hi)
-    return lo, hi
+    return lo, hi, k_lo, k_hi
+
+
+def _attaining(k_old, act, rot, take):
+    """The coefficients of ``act`` in the frame ``rot`` where ``take``, the
+    old ones elsewhere."""
+    new = _frame_coefs(act, rot)
+    return new if k_old is None else tuple(np.where(take, x, y) for x, y in zip(new, k_old))
 
 
 def residual_interior(
@@ -352,27 +437,102 @@ def residual_interior(
     schemes read only the 3x3 neighbourhood of each node, which fits inside
     the one-node Dirichlet ring for every interior node.
     """
+    return _residual(u, h, op, scheme, pair, ell, eps, False)[0]
+
+
+def linearize(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
+              pair: OperatorPair | None = None, ell: Ellipticity | None = None,
+              eps: float | None = None):
+    """The residual (``residual_interior``, bit for bit) and the Jacobian of
+    its active policy, as ``(value, coefs, diag)``.
+
+    The policy holds each node's attaining matrix (and frame).  Its Jacobian
+    applied to an increment d is k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy-
+    + diag d, with ``coefs`` = (k_xx, k_yy, k_p, k_m) on the central second
+    differences and the 7-point mixed differences u_xy+- of the module
+    docstring; ``diag`` is H'(u) (F- - F+) for G_eps and None otherwise.
+    ``jacobian_apply`` evaluates it.
+    """
+    return _residual(u, h, op, scheme, pair, ell, eps, True)
+
+
+def _residual(u, h, op, scheme, pair, ell, eps, policy):
     pair, ell = _resolve(op, pair, ell, eps)
     uxx, uyy, uxy = central_hessian(u, h)
     if op == "laplacian":
-        return uxx + uyy
+        return uxx + uyy, (1.0, 1.0, 0.0, 0.0), None
     frames = _frames(u, h, scheme, uxx, uyy, uxy)
-    if op == "M_minus":
-        return _over_frames(frames, None, ell, True, False)[0]
-    if op == "M_plus":
-        return _over_frames(frames, None, ell, False, True)[1]
-    if op == "F_minus":
-        return _over_frames(frames, pair.minus, ell, True, False)[0]
-    if op == "F_plus":
-        return _over_frames(frames, pair.plus, ell, False, True)[1]
-    # G_eps: one family on both sides takes both from the same eigenvalues
-    if pair.minus == pair.plus:
-        fm, fp = _over_frames(frames, pair.minus, ell, True, True)
-    else:
-        fm = _over_frames(frames, pair.minus, ell, True, False)[0]
-        fp = _over_frames(frames, pair.plus, ell, False, True)[1]
+    del uxx, uyy, uxy
+    if op in ("M_minus", "F_minus"):
+        lo, _, k_lo, _ = _over_frames(frames, pair.minus if op == "F_minus" else None,
+                                      ell, True, False, policy)
+        return lo, k_lo, None
+    if op in ("M_plus", "F_plus"):
+        _, hi, _, k_hi = _over_frames(frames, pair.plus if op == "F_plus" else None,
+                                      ell, False, True, policy)
+        return hi, k_hi, None
     hh = heaviside_smooth(u[1:-1, 1:-1], eps)
-    return hh * fm + (1.0 - hh) * fp
+    coefs = diag = None
+    if pair.minus == pair.plus and len(frames) == 1:
+        # one family on both sides takes both from the same eigenvalues, and
+        # one frame lets the policy blend its weights there
+        a, b, c, rot = frames[0]
+        fm, fp, act = _extremal_sides(pair.minus, ell, a, b, c, True, True, policy, hh)
+        coefs = None if act is None else _frame_coefs(act, rot)
+        del a, b, c, act
+    elif pair.minus == pair.plus:
+        fm, fp, k_lo, k_hi = _over_frames(frames, pair.minus, ell, True, True, policy)
+    else:
+        fm, _, k_lo, _ = _over_frames(frames, pair.minus, ell, True, False, policy)
+        _, fp, _, k_hi = _over_frames(frames, pair.plus, ell, False, True, policy)
+    del frames
+    value = hh * fm + (1.0 - hh) * fp
+    if policy:
+        if coefs is None:
+            coefs = tuple(hh * x + (1.0 - hh) * y for x, y in zip(k_lo, k_hi))
+        # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
+        s = np.clip((u[1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
+        diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
+    return value, coefs, diag
+
+
+def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
+    """The policy Jacobian of ``linearize`` applied to the increment ``d``:
+    a full grid array, zero on the ring; returns the interior block.
+
+    By the definitions of u_xy+- it is w_x d_xx + w_y d_yy + (k_p / 2) D+ -
+    (k_m / 2) D- (+ diag d) with w = k + (k_m - k_p) / 2 on both axes; the
+    central scheme's k_p = k_m keeps only the four-corner part of D+ - D-.
+    """
+    k_xx, k_yy, k_p, k_m = coefs
+    mid = d[1:-1, 1:-1]
+    out = d[2:, 2:] + d[:-2, :-2]
+    t = np.empty_like(mid)
+    if k_p is k_m:
+        out -= d[:-2, 2:]
+        out -= d[2:, :-2]
+        out *= k_p
+    else:
+        shift = 0.5 * (k_m - k_p)
+        k_xx, k_yy = k_xx + shift, k_yy + shift
+        out -= 2.0 * mid
+        out *= k_p
+        np.add(d[:-2, 2:], d[2:, :-2], out=t)
+        t -= 2.0 * mid
+        t *= k_m
+        out -= t
+    out *= 0.5
+    for k, fwd, back in ((k_xx, d[2:, 1:-1], d[:-2, 1:-1]), (k_yy, d[1:-1, 2:], d[1:-1, :-2])):
+        np.add(fwd, back, out=t)
+        t -= mid
+        t -= mid
+        t *= k
+        out += t
+    out /= h * h
+    if diag is not None:
+        np.multiply(diag, mid, out=t)
+        out += t
+    return out
 
 
 def discrete_residual(

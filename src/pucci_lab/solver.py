@@ -1,21 +1,28 @@
-"""Explicit pseudo-time relaxation for the scalar operators and the
-two-species segregation system.
+"""Damped Newton-Krylov for the scalar operators, and an explicit pseudo-time
+march for the two-species segregation system.
 
-Scalar problems march u^{k+1} = u^k + tau R(u^k) with the degenerate-elliptic
-residual R from :mod:`pucci_lab.operators` and the CFL step
-tau = cfl h^2 / (4 Lam), stopping when the interior sup-norm of R reaches the
-tolerance.  The segregation system
+Scalar problems solve R(u) = 0 for the residual R of
+:mod:`pucci_lab.operators`.  Each Newton step linearizes R at its active
+policy (``operators.linearize``: the attaining matrix per node, plus
+H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
+preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
+Laplacian (fast sine transforms, with a capacitance correction for frozen
+nodes), and halves the step from 1 down to 2^-10 until the interior sup-norm
+of R falls.  It stops when that sup-norm reaches the tolerance ("tol"), when
+``max_iter`` iterates have been evaluated ("budget"), or when no step lowers
+it ("stall").  Neither scheme is monotone, so convergence is measured, not
+proved, and a stall is reported rather than hidden.  The segregation system
 
     M-(u_i) = (1/eps) u_1 u_2,   u_i >= 0,  u_i = f_i on the ring
 
-uses the same march on both species with the coupling term and a clamp at
-zero; its convergence metric is the sup-norm of the clamped update increment
-divided by tau (the raw residual does not vanish on the dead core, the
-complementarity form does).
+marches both species with the CFL step tau = cfl h^2 / (4 Lam), the coupling
+term and a clamp at zero; its convergence metric is the sup-norm of the
+clamped update increment divided by tau (the raw residual does not vanish on
+the dead core, the complementarity form does).
 
-Budget exhaustion returns the best iterate with ``converged=False`` rather
-than raising; non-finite values raise :class:`BlowupError` naming the first
-offending node.
+An unconverged solve returns its best iterate with ``converged=False``
+rather than raising; non-finite values raise :class:`BlowupError` naming the
+first offending node.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.fft import dstn, idstn
 
 from .errors import BlowupError, ConfigurationError, InputError
 from .grid import GridField, GridSpec
@@ -31,13 +39,23 @@ from .operators import (
     OperatorPair,
     SchemeSpec,
     _resolve,
+    jacobian_apply,
+    linearize,
     residual_interior,
 )
+
+# Newton-Krylov constants: the BiCGSTAB relative tolerance and iteration cap
+# of each Newton step, and the smallest backtracking step tried
+KRYLOV_RTOL = 1e-6
+KRYLOV_MAX_ITER = 500
+MIN_STEP = 2.0 ** -10
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Knobs of the pseudo-time march."""
+    """Solver settings.  ``max_iter`` counts the iterates whose residual is
+    evaluated: Newton iterates for scalar solves, march steps for
+    segregation.  ``cfl`` scales the segregation march's step only."""
 
     scheme: SchemeSpec = SchemeSpec()
     tol: float = 1e-8
@@ -88,7 +106,7 @@ def lipschitz_seminorm(fld: GridField) -> float:
     return float(max(quot, diag))
 
 
-def _blowup_check(arr: np.ndarray, spec: GridSpec, what: str):
+def _blowup_check(arr: np.ndarray, spec: GridSpec, what: str, hint: str):
     if np.all(np.isfinite(arr)):
         return
     i, j = np.argwhere(~np.isfinite(arr))[0]
@@ -97,8 +115,7 @@ def _blowup_check(arr: np.ndarray, spec: GridSpec, what: str):
     x = spec.origin[0] + gi * spec.h
     y = spec.origin[1] + gj * spec.h
     raise BlowupError(
-        f"non-finite {what} at node ({gi}, {gj}), x=({x:.6g}, {y:.6g}); "
-        "reduce cfl or check the operator configuration",
+        f"non-finite {what} at node ({gi}, {gj}), x=({x:.6g}, {y:.6g}); {hint}",
         node=(gi, gj),
         coords=(x, y),
     )
@@ -126,14 +143,13 @@ def solve_dirichlet(
     initial: GridField | None = None,
     frozen: np.ndarray | None = None,
 ) -> SolveResult:
-    """March the selected operator to steady state under Dirichlet ring data.
+    """Solve the selected operator under Dirichlet ring data by damped Newton.
 
     ``frozen`` optionally marks additional interior nodes to hold at their
     ``boundary`` values (used by singular-barrier fixtures whose datum is
     prescribed on a masked region, not only the ring).
     """
     pair, ell_r = _resolve(op, pair, ell, cfg.eps)
-    ell_eff = ell_r if ell_r is not None else Ellipticity(1.0, 1.0)
     spec = boundary.spec
     if not np.all(np.isfinite(boundary.values)):
         raise InputError("boundary field contains non-finite values")
@@ -145,36 +161,178 @@ def solve_dirichlet(
             raise InputError("frozen mask shape does not match the grid")
         u[frozen] = boundary.values[frozen]
         frozen_int = frozen[1:-1, 1:-1]
-    tau = cfg.cfl * spec.h**2 / (4.0 * ell_eff.Lam)
-    history = []
-    best = None
-    best_res = np.inf
-    it = 0
-    converged = False
-    for it in range(1, cfg.max_iter + 1):
-        res_arr = residual_interior(u, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
+        if not frozen_int.any():
+            frozen_int = None
+
+    def residual(v):
+        r = residual_interior(v, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
         if frozen_int is not None:
-            res_arr[frozen_int] = 0.0
-        res = float(np.abs(res_arr).max())
-        if not np.isfinite(res):
-            _blowup_check(res_arr, spec, "residual")
-        history.append(res)
-        if res < best_res:
-            best_res = res
-            best = u.copy()
-        if res <= cfg.tol:
-            converged = True
-            break
-        u[1:-1, 1:-1] += tau * res_arr
-    out = GridField(spec, best if best is not None else u)
+            r[frozen_int] = 0.0
+        return r, float(np.abs(r).max())
+
+    res_arr, res = residual(u)
+    if not np.isfinite(res):
+        _blowup_check(res_arr, spec, "residual",
+                      "check the initial guess and the operator configuration")
+    scale = 1.0 if ell_r is None else 0.5 * (ell_r.lam + ell_r.Lam)
+    precond = _PoissonPreconditioner(spec.nx - 2, spec.h, scale, frozen_int)
+    history = [res]
+    krylov = 0
+    stop = "tol" if res <= cfg.tol else None
+    while stop is None and len(history) < cfg.max_iter:
+        _, coefs, diag = linearize(u, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
+        delta, k = _newton_direction(coefs, diag, res_arr, spec.h, precond)
+        del coefs, diag
+        krylov += k
+        trial = u.copy()
+        step = 1.0
+        while True:
+            trial[1:-1, 1:-1] = u[1:-1, 1:-1] + step * delta
+            t_arr, t_res = residual(trial)
+            if t_res < res:
+                break
+            step *= 0.5
+            if step < MIN_STEP:
+                stop = "stall"
+                break
+        if stop is None:
+            u, res_arr, res = trial, t_arr, t_res
+            history.append(res)
+            if res <= cfg.tol:
+                stop = "tol"
+    # every accepted step lowers the residual, so the last iterate is the best
+    out = GridField(spec, u)
     return SolveResult(
         field=out,
-        iterations=it,
-        final_residual=best_res,
+        iterations=len(history),
+        final_residual=res,
         residual_history=np.asarray(history),
         lipschitz_seminorm=lipschitz_seminorm(out),
-        converged=converged,
+        converged=stop == "tol",
+        telemetry={"stop_reason": stop or "budget", "krylov_iterations": krylov},
     )
+
+
+def _newton_direction(coefs, diag, res_arr, h, precond):
+    """Solve J delta = -R for the policy Jacobian J (``linearize``) by
+    preconditioned BiCGSTAB; returns delta and the iteration count.  Frozen
+    nodes are identity rows, where R is 0.  ``res_arr`` is consumed."""
+    n, frozen = precond.n, precond.frozen
+    pad = np.zeros((n + 2, n + 2))
+
+    def jac(x):
+        pad[1:-1, 1:-1] = x
+        out = jacobian_apply(coefs, diag, pad, h)
+        if frozen is not None:
+            out[frozen] = x[frozen]
+        return out
+
+    delta, its = _bicgstab(jac, precond.apply, np.negative(res_arr, out=res_arr))
+    if frozen is not None:
+        delta[frozen] = 0.0
+    return delta, its
+
+
+def _dot(a, b) -> float:
+    # einsum sums in numpy's own loop.  BLAS dot threads vectors of this size,
+    # and its threads stall while another process holds a core: on 2 cores
+    # with one busy, np.dot of 16129 entries took 6.2 ms, this 30 us.
+    return float(np.einsum("ij,ij->", a, b))
+
+
+def _bicgstab(jac, psolve, b):
+    """Right-preconditioned BiCGSTAB (van der Vorst 1992) from zero, to the
+    relative residual KRYLOV_RTOL; returns x and the iteration count.  A
+    breakdown or the iteration cap returns the iterate reached, which the
+    Newton step's backtracking then judges."""
+    x = np.zeros_like(b)
+    r, shadow = b.copy(), b
+    stop = KRYLOV_RTOL * np.sqrt(_dot(b, b))
+    rho = alpha = omega = 1.0
+    p = v = None
+    for it in range(1, KRYLOV_MAX_ITER + 1):
+        rho, rho_old = _dot(shadow, r), rho
+        if rho == 0.0 or omega == 0.0:
+            return x, it - 1
+        if p is None:
+            p = r.copy()
+        else:  # p = r + beta (p - omega v), in place
+            p -= omega * v
+            p *= (rho / rho_old) * (alpha / omega)
+            p += r
+        p_hat = psolve(p)
+        v = jac(p_hat)
+        rv = _dot(shadow, v)
+        if rv == 0.0:
+            return x, it - 1
+        alpha = rho / rv
+        x += alpha * p_hat
+        r -= alpha * v
+        if np.sqrt(_dot(r, r)) <= stop:
+            return x, it
+        r_hat = psolve(r)
+        t = jac(r_hat)
+        omega = _dot(t, r) / _dot(t, t)
+        x += omega * r_hat
+        r -= omega * t
+        if np.sqrt(_dot(r, r)) <= stop:
+            return x, it
+    return x, KRYLOV_MAX_ITER
+
+
+def _definite_inverse(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a definite matrix by Gauss-Jordan elimination without
+    pivoting, in plain numpy: LAPACK's first call maps about 1 MB of buffers,
+    which would count against the peak memory of small solves."""
+    m = mat.shape[0]
+    aug = np.hstack([mat, np.eye(m)])
+    for k in range(m):
+        aug[k] /= aug[k, k]
+        col = aug[:, k].copy()
+        col[k] = 0.0
+        aug -= np.outer(col, aug[k])
+    return aug[:, m:]
+
+
+class _PoissonPreconditioner:
+    """Inverse of scale times the 5-point Dirichlet Laplacian on the n x n
+    interior, by type-1 fast sine transforms.  Frozen nodes are identity
+    rows: a capacitance matrix, the frozen block of the inverse built from
+    one unit-vector solve per frozen node, adds the sources on them that
+    reproduce the input there (Buzbee, Dorr, George & Golub 1971)."""
+
+    def __init__(self, n: int, h: float, scale: float, frozen: np.ndarray | None):
+        self.n, self.frozen = n, frozen
+        lam1 = (2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) - 2.0) / (h * h)
+        self.eig = scale * (lam1[:, None] + lam1[None, :])
+        if frozen is None:
+            return
+        held = np.argwhere(frozen)
+        cap = np.empty((len(held), len(held)))
+        unit = np.zeros((n, n))
+        for j, (p, q) in enumerate(held):
+            unit[p, q] = 1.0
+            cap[:, j] = self._poisson(unit)[frozen]
+            unit[p, q] = 0.0
+        self.cap_inv = _definite_inverse(cap)
+
+    def _poisson(self, r):
+        spec = dstn(r, type=1)
+        spec /= self.eig
+        return idstn(spec, type=1, overwrite_x=True)
+
+    def apply(self, r):
+        """The preconditioned (n, n) array for the (n, n) array ``r``."""
+        if self.frozen is None:
+            return self._poisson(r)
+        src = r.copy()
+        src[self.frozen] = 0.0
+        x = self._poisson(src)
+        src[:] = 0.0
+        src[self.frozen] = self.cap_inv @ (r[self.frozen] - x[self.frozen])
+        x += self._poisson(src)
+        x[self.frozen] = r[self.frozen]
+        return x
 
 
 def solve_segregation(
@@ -223,8 +381,9 @@ def solve_segregation(
         c2 = np.maximum(v2 + tau * r2, 0.0)
         inc = max(np.abs(c1 - v1).max(), np.abs(c2 - v2).max()) / tau
         if not np.isfinite(inc):
-            _blowup_check(c1 - v1, spec, "update")
-            _blowup_check(c2 - v2, spec, "update")
+            hint = "reduce cfl or check the operator configuration"
+            _blowup_check(c1 - v1, spec, "update", hint)
+            _blowup_check(c2 - v2, spec, "update", hint)
         history.append(float(inc))
         u1[1:-1, 1:-1] = c1
         u2[1:-1, 1:-1] = c2
@@ -252,6 +411,8 @@ class SweepEntry:
     final_residual: float
     lipschitz_seminorm: float
     converged: bool
+    stop_reason: str
+    krylov_iterations: int
 
 
 @dataclass
@@ -295,7 +456,8 @@ def epsilon_sweep(
     for e in eps_arr:
         res = solve_dirichlet(boundary, "G_eps", cfg.with_eps(e), pair=pair, initial=warm)
         entries.append(
-            SweepEntry(e, res.iterations, res.final_residual, res.lipschitz_seminorm, res.converged)
+            SweepEntry(e, res.iterations, res.final_residual, res.lipschitz_seminorm, res.converged,
+                       res.telemetry["stop_reason"], res.telemetry["krylov_iterations"])
         )
         ok = ok and res.converged
         fields.append(res.field)

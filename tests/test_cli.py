@@ -129,7 +129,20 @@ def test_unconverged_solve_exits_one(tmp_path):
     cfg = cli.parse_config(make_config(
         command="solve", fixture="sign_change", **{"grid.nx": 33, "max_iter": 2}))
     assert cli.run(cfg, out_dir=str(tmp_path / "r"), quiet=True) == 1
-    assert read_manifest(str(tmp_path / "r"))["verdicts"]["converged"] == "FAIL"
+    man = read_manifest(str(tmp_path / "r"))
+    assert man["verdicts"]["converged"] == "FAIL"
+    assert man["telemetry"]["stop_reason"] == "budget"
+    assert man["telemetry"]["iterations"] == 2
+
+
+def test_sweep_manifest_reports_why_each_solve_stopped(tmp_path):
+    cfg = cli.parse_config(make_config(
+        command="sweep", fixture="sign_change",
+        **{"grid.nx": 17, "eps_list": "0.2, 0.1", "tol": "1e-8"}))
+    assert cli.run(cfg, out_dir=str(tmp_path / "s"), quiet=True) == 0
+    entries = read_manifest(str(tmp_path / "s"))["telemetry"]["entries"]
+    assert [e["stop_reason"] for e in entries] == ["tol", "tol"]
+    assert all(e["krylov_iterations"] > 0 for e in entries)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
-"""The quick demos run to completion as standalone scripts (demos 03 and 04
-solve full problems and are left to be run by hand)."""
+"""The quick demos run to completion as standalone scripts (demo 04 marches
+the full segregation ladder and is left to be run by hand)."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK = ["01_operator_algebra.py", "02_barriers_and_profiles.py",
+QUICK = ["01_operator_algebra.py", "02_barriers_and_profiles.py", "03_scalar_problem.py",
          "05_interface_diagnostics.py", "06_cli_tour.py"]
 
 

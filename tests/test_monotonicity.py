@@ -183,6 +183,19 @@ def test_positive_cell_fraction_ties_and_zeros(cell, expected):
     assert positive_cell_fraction(np.array(cell))[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
+def test_positive_cell_fraction_extreme_scales():
+    # the fraction is scale invariant; corner products would underflow or
+    # overflow at these scales, ratios do not
+    tiny = positive_cell_fraction(np.array([[1e-170, 0.0], [0.0, 0.0]]))[0, 0]
+    assert tiny == positive_cell_fraction(np.array([[1.0, 0.0], [0.0, 0.0]]))[0, 0] == 1.0
+    for cell in ([[1e200, -1e200], [-2e200, 3e200]], [[-1e-200, 2e-200], [3e-200, -1e-200]]):
+        cell = np.array(cell)
+        frac = positive_cell_fraction(cell)[0, 0]
+        assert np.isfinite(frac)
+        unit = positive_cell_fraction(cell / np.abs(cell).max())[0, 0]
+        assert frac == pytest.approx(unit, rel=1e-14)
+
+
 def test_positive_cell_fraction_complement():
     g = GridSpec(33)
     xx, yy = g.node_coords()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pucci_lab import (
@@ -10,6 +10,7 @@ from pucci_lab import (
     Ellipticity,
     GridField,
     GridSpec,
+    OP_SELECTORS,
     InputError,
     MatrixFamily,
     OperatorPair,
@@ -25,6 +26,7 @@ from pucci_lab import (
     pucci_eval,
     residual_interior,
 )
+from pucci_lab.operators import jacobian_apply, linearize
 
 ELL = Ellipticity(1.0, 2.0)
 FINITE = MatrixFamily(
@@ -455,3 +457,52 @@ def test_g_eps_reduces_to_branches_far_from_zero():
                             eps=0.05)
     r_m = residual_interior(fld.values, g.h, "F_minus", SchemeSpec(), pair=PAIRS["pucci"])
     assert np.allclose(r_g, r_m, atol=1e-12)
+
+
+# Every selector, family and scheme for the linearization tests; finite sets
+# are not rotation closed and run on the central scheme only.  "mixed" pairs
+# two different families, so G_eps blends its sides after their frames.
+ELL_WIDE = Ellipticity(0.5, 1.5)
+LINEAR_PAIRS = dict(PAIRS, mixed=OperatorPair(MatrixFamily("full_pucci", ELL_WIDE),
+                                              MatrixFamily("frobenius_ball", ELL_WIDE, r0=0.5)))
+SCHEMES = {"central": SchemeSpec(), "wide4": SchemeSpec("wide", 4), "wide8": SchemeSpec("wide", 8)}
+LINEAR_CASES = [
+    (op, name, scheme)
+    for scheme in SCHEMES
+    for op in OP_SELECTORS
+    for name in (sorted(LINEAR_PAIRS) if op in ("F_minus", "F_plus", "G_eps") else ["pucci"])
+    if not (name == "finite" and scheme != "central")
+]
+
+
+@pytest.mark.parametrize("op, name, scheme", LINEAR_CASES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_linearization_matches_residual(op, name, scheme, seed):
+    g = GridSpec(17)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((17, 17))
+    d = rng.standard_normal((17, 17))
+    d[g.boundary_ring()] = 0.0
+    eps, t = 0.5, 1e-6
+    # away from the kinks: eigenvalue sign changes of the central Hessian and |u| = eps
+    uxx, uyy, uxy = central_hessian(u, g.h)
+    rad = np.sqrt((0.5 * (uxx - uyy)) ** 2 + uxy ** 2)
+    mean = 0.5 * (uxx + uyy)
+    assume(np.abs(np.abs(mean) - rad).min() > 0.1)
+    assume(np.abs(np.abs(u) - eps).min() > 1e-3)
+    kw = dict(pair=LINEAR_PAIRS[name], ell=LINEAR_PAIRS[name].ell,
+              eps=eps if op == "G_eps" else None)
+    spec = SCHEMES[scheme]
+    res = residual_interior(u, g.h, op, spec, **kw)
+    value, coefs, diag = linearize(u, g.h, op, spec, **kw)
+    assert value.tobytes() == res.tobytes()
+    jd = jacobian_apply(coefs, diag, d, g.h)
+    plus = residual_interior(u + t * d, g.h, op, spec, **kw)
+    minus = residual_interior(u - t * d, g.h, op, spec, **kw)
+    # a rare row crosses a tie between frames or members within the probe:
+    # there the centred difference misses J d by its bend over 2t, which
+    # elsewhere is roundoff
+    bend = np.abs(plus - 2.0 * res + minus)
+    err = np.abs((plus - minus) / (2.0 * t) - jd)
+    assert np.all(err <= 1e-6 * np.abs(jd).max() + bend / (2.0 * t))
