@@ -4,7 +4,7 @@ Runs are described by a line-oriented config (``key = value``, ``#``
 comments, dotted keys), dispatched by the ``command`` key:
 
     solve      one Dirichlet solve of the selected operator on a fixture
-    segregate  the two-species clamped iteration on a pair fixture
+    segregate  the two-species system on a pair fixture, by semismooth Newton
     sweep      warm-started continuation over a decreasing eps ladder
     diagnose   interface diagnostics on a stored or freshly solved field
     verify     the condensed property battery of every module
@@ -381,7 +381,7 @@ def _cmd_segregate(cfg: RunConfig, man: _Manifest) -> None:
         iterations=res.iterations,
         final_residual=res.final_residual,
         lipschitz_seminorm=res.lipschitz_seminorm,
-        overlap_sup=res.telemetry["overlap_sup"],
+        **res.telemetry,
     )
     man.data["verdicts"]["converged"] = "PASS" if res.converged else "FAIL"
 

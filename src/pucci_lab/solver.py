@@ -1,5 +1,5 @@
-"""Damped Newton-Krylov for the scalar operators, and an explicit pseudo-time
-march for the two-species segregation system.
+"""Damped Newton-Krylov for the scalar operators and for the two-species
+segregation system.
 
 Scalar problems solve R(u) = 0 for the residual R of
 :mod:`pucci_lab.operators`.  Each Newton step linearizes R at its active
@@ -7,22 +7,31 @@ policy (``operators.linearize``: the attaining matrix per node, plus
 H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
 Laplacian (fast sine transforms, with a capacitance correction for frozen
-nodes), and halves the step from 1 down to 2^-10 until the interior sup-norm
-of R falls.  It stops when that sup-norm reaches the tolerance ("tol"), when
-``max_iter`` iterates have been evaluated ("budget"), or when no step lowers
-it ("stall").  Neither scheme is monotone, so convergence is measured, not
-proved, and a stall is reported rather than hidden.  The segregation system
+nodes).  The segregation system
 
     M-(u_i) = (1/eps) u_1 u_2,   u_i >= 0,  u_i = f_i on the ring
 
-marches both species with the CFL step tau = cfl h^2 / (4 Lam), the coupling
-term and a clamp at zero; its convergence metric is the sup-norm of the
-clamped update increment divided by tau (the raw residual does not vanish on
-the dead core, the complementarity form does).
+is solved in its complementarity form Phi_i = min(v_i / tau, G_i) = 0 on the
+interior values v_i, with G_i = v_1 v_2 / eps - M-(u_i) and
+tau = cfl h^2 / (4 Lam): sup |Phi| is the increment
+|max(v_i - tau G_i, 0) - v_i| / tau of one clamped explicit step of size tau,
+the convergence metric of the explicit march this solver replaced, so
+tolerances keep their meaning.  Its semismooth Newton step (Hintermueller,
+Ito & Kunisch 2002) takes the row d_i / tau where v_i / tau < G_i (the
+active set) and the row -J_i d_i + (v_j d_i + v_i d_j) / eps elsewhere, J_i
+the policy Jacobian of M-(u_i), and solves the stacked pair by the same
+BiCGSTAB with the Poisson preconditioner on each species.
+
+Both share one damped Newton loop: each step halves from 1 down to 2^-10
+until the interior sup-norm of the residual falls.  It stops when that
+sup-norm reaches the tolerance ("tol"), when ``max_iter`` iterates have been
+evaluated ("budget"), or when no step lowers it ("stall").  Neither scheme is
+monotone, so convergence is measured, not proved, and a stall is reported
+rather than hidden.
 
 An unconverged solve returns its best iterate with ``converged=False``
-rather than raising; non-finite values raise :class:`BlowupError` naming the
-first offending node.
+rather than raising; a non-finite starting residual raises
+:class:`BlowupError` naming the first offending node.
 """
 
 from __future__ import annotations
@@ -53,9 +62,10 @@ MIN_STEP = 2.0 ** -10
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver settings.  ``max_iter`` counts the iterates whose residual is
-    evaluated: Newton iterates for scalar solves, march steps for
-    segregation.  ``cfl`` scales the segregation march's step only."""
+    """Solver settings.  ``max_iter`` counts the Newton iterates whose
+    residual is evaluated.  ``cfl`` sets only the scale tau of the segregation
+    residual's active rows, v_i / tau: the solution of Phi = 0 does not
+    depend on it, the stopping test does."""
 
     scheme: SchemeSpec = SchemeSpec()
     tol: float = 1e-8
@@ -106,16 +116,16 @@ def lipschitz_seminorm(fld: GridField) -> float:
     return float(max(quot, diag))
 
 
-def _blowup_check(arr: np.ndarray, spec: GridSpec, what: str, hint: str):
-    if np.all(np.isfinite(arr)):
-        return
+def _blowup_error(arr: np.ndarray, spec: GridSpec) -> BlowupError:
+    """The error naming the first non-finite node of ``arr``, an interior
+    block or a stack of them."""
     i, j = np.argwhere(~np.isfinite(arr))[0]
-    # arr is an interior block; shift to grid indices
-    gi, gj = int(i) + 1, int(j) + 1
+    gi, gj = int(i) % (spec.nx - 2) + 1, int(j) + 1
     x = spec.origin[0] + gi * spec.h
     y = spec.origin[1] + gj * spec.h
-    raise BlowupError(
-        f"non-finite {what} at node ({gi}, {gj}), x=({x:.6g}, {y:.6g}); {hint}",
+    return BlowupError(
+        f"non-finite residual at node ({gi}, {gj}), x=({x:.6g}, {y:.6g}); "
+        "check the data, the initial guess and the operator configuration",
         node=(gi, gj),
         coords=(x, y),
     )
@@ -170,24 +180,55 @@ def solve_dirichlet(
             r[frozen_int] = 0.0
         return r, float(np.abs(r).max())
 
-    res_arr, res = residual(u)
-    if not np.isfinite(res):
-        _blowup_check(res_arr, spec, "residual",
-                      "check the initial guess and the operator configuration")
     scale = 1.0 if ell_r is None else 0.5 * (ell_r.lam + ell_r.Lam)
     precond = _PoissonPreconditioner(spec.nx - 2, spec.h, scale, frozen_int)
+
+    def direction(v, res_arr):
+        _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
+        return _newton_direction(coefs, diag, res_arr, spec.h, precond)
+
+    u, history, stop, krylov = _newton(u, residual, direction, cfg, spec)
+    out = GridField(spec, u)
+    return SolveResult(
+        field=out,
+        iterations=len(history),
+        final_residual=history[-1],
+        residual_history=np.asarray(history),
+        lipschitz_seminorm=lipschitz_seminorm(out),
+        converged=stop == "tol",
+        telemetry={"stop_reason": stop, "krylov_iterations": krylov},
+    )
+
+
+def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec,
+            nonnegative: bool = False):
+    """Damped Newton on the interior of ``u`` (a grid array, or a stack of
+    them), the one loop of every solve.
+
+    ``residual(u)`` returns the residual array and its sup-norm;
+    ``direction(u, r)`` returns the Newton increment of the interior and its
+    Krylov iteration count, and may consume ``r``.  Each step halves from 1
+    down to MIN_STEP until the sup-norm falls; with ``nonnegative`` each
+    trial is clamped at 0 before its residual is evaluated.  Returns the last
+    iterate, the sup-norm history, the stop reason ("tol", "budget" or
+    "stall") and the total Krylov iterations; every accepted step lowers the
+    residual, so the last iterate is the best.
+    """
+    res_arr, res = residual(u)
+    if not np.isfinite(res):
+        raise _blowup_error(res_arr, spec)
     history = [res]
     krylov = 0
     stop = "tol" if res <= cfg.tol else None
     while stop is None and len(history) < cfg.max_iter:
-        _, coefs, diag = linearize(u, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
-        delta, k = _newton_direction(coefs, diag, res_arr, spec.h, precond)
-        del coefs, diag
+        delta, k = direction(u, res_arr)
         krylov += k
         trial = u.copy()
         step = 1.0
         while True:
-            trial[1:-1, 1:-1] = u[1:-1, 1:-1] + step * delta
+            trial[..., 1:-1, 1:-1] = u[..., 1:-1, 1:-1] + step * delta
+            if nonnegative:
+                np.maximum(trial, 0.0, out=trial)
             t_arr, t_res = residual(trial)
             if t_res < res:
                 break
@@ -200,17 +241,7 @@ def solve_dirichlet(
             history.append(res)
             if res <= cfg.tol:
                 stop = "tol"
-    # every accepted step lowers the residual, so the last iterate is the best
-    out = GridField(spec, u)
-    return SolveResult(
-        field=out,
-        iterations=len(history),
-        final_residual=res,
-        residual_history=np.asarray(history),
-        lipschitz_seminorm=lipschitz_seminorm(out),
-        converged=stop == "tol",
-        telemetry={"stop_reason": stop or "budget", "krylov_iterations": krylov},
-    )
+    return u, history, stop or "budget", krylov
 
 
 def _newton_direction(coefs, diag, res_arr, h, precond):
@@ -342,11 +373,15 @@ def solve_segregation(
     ell: Ellipticity = Ellipticity(1.0, 2.0),
     initial: tuple[GridField, GridField] | None = None,
 ) -> SolveResult:
-    """Relax the clamped two-species system to its segregated steady state.
+    """Solve the clamped two-species system for its segregated steady state
+    by semismooth Newton on Phi (module docstring).
 
     Dirichlet data must be nonnegative with disjoint supports; the result
     field is the pair (u1, u2) and the reported Lipschitz seminorm is that of
-    the limit candidate u1 - u2.
+    the limit candidate u1 - u2.  Without ``initial`` each species starts
+    from its uncoupled M- solve.  Every trial iterate is clamped at 0 before
+    its residual is evaluated, so the returned pair is >= 0 exactly whatever
+    the stop reason, and ``final_residual`` is its own sup |Phi|.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")
@@ -359,48 +394,73 @@ def solve_segregation(
     if np.any((b1 > 0.0) & (b2 > 0.0)):
         raise InputError("species boundary data must have disjoint supports")
     spec = f1.spec
-    init1 = initial[0] if initial is not None else None
-    init2 = initial[1] if initial is not None else None
-    u1 = _initial_values(f1, init1)
-    u2 = _initial_values(f2, init2)
-    np.clip(u1, 0.0, None, out=u1)
-    np.clip(u2, 0.0, None, out=u2)
-    u1[ring] = f1.values[ring]
-    u2[ring] = f2.values[ring]
-    tau = cfg.cfl * spec.h**2 / (4.0 * ell.Lam)
+    h, n = spec.h, spec.nx - 2
+    krylov = 0
+    u = np.empty((2, spec.nx, spec.nx))
+    for i, f in enumerate((f1, f2)):
+        if initial is not None:
+            u[i] = _initial_values(f, initial[i])
+        else:  # the uncoupled species, under its own budget
+            start = solve_dirichlet(f, "M_minus", SolveConfig(cfg.scheme, cfg.tol), ell=ell)
+            u[i] = start.field.values
+            krylov += start.telemetry["krylov_iterations"]
+    np.clip(u, 0.0, None, out=u)
+    tau = cfg.cfl * h * h / (4.0 * ell.Lam)
     inv_eps = 1.0 / cfg.eps
-    history = []
-    it = 0
-    converged = False
-    for it in range(1, cfg.max_iter + 1):
-        v1, v2 = u1[1:-1, 1:-1], u2[1:-1, 1:-1]
-        coup = inv_eps * v1 * v2
-        r1 = residual_interior(u1, spec.h, "M_minus", cfg.scheme, ell=ell) - coup
-        r2 = residual_interior(u2, spec.h, "M_minus", cfg.scheme, ell=ell) - coup
-        c1 = np.maximum(v1 + tau * r1, 0.0)
-        c2 = np.maximum(v2 + tau * r2, 0.0)
-        inc = max(np.abs(c1 - v1).max(), np.abs(c2 - v2).max()) / tau
-        if not np.isfinite(inc):
-            hint = "reduce cfl or check the operator configuration"
-            _blowup_check(c1 - v1, spec, "update", hint)
-            _blowup_check(c2 - v2, spec, "update", hint)
-        history.append(float(inc))
-        u1[1:-1, 1:-1] = c1
-        u2[1:-1, 1:-1] = c2
-        if inc <= cfg.tol:
-            converged = True
-            break
-    g1, g2 = GridField(spec, u1), GridField(spec, u2)
-    diff = GridField(spec, u1 - u2)
-    overlap = float((u1 * u2).max())
+
+    def residual(w):
+        v = w[:, 1:-1, 1:-1]
+        coup = inv_eps * v[0] * v[1]
+        phi = np.empty((2 * n, n))
+        for i in (0, 1):
+            g = coup - residual_interior(w[i], h, "M_minus", cfg.scheme, ell=ell)
+            np.minimum(v[i] / tau, g, out=phi[i * n:(i + 1) * n])
+        return phi, float(np.abs(phi).max())
+
+    # the Poisson preconditioner carries the sign of -M-'s Jacobian
+    precond = _PoissonPreconditioner(n, h, -0.5 * (ell.lam + ell.Lam), None)
+    pads = np.zeros((2, n + 2, n + 2))
+
+    def direction(w, phi):
+        v = w[:, 1:-1, 1:-1]
+        coup = inv_eps * v[0] * v[1]
+        coefs, active = [], np.empty((2 * n, n), dtype=bool)
+        for i in (0, 1):
+            m_i, k_i, _ = linearize(w[i], h, "M_minus", cfg.scheme, ell=ell)
+            coefs.append(k_i)
+            np.less(v[i] / tau, coup - m_i, out=active[i * n:(i + 1) * n])
+
+        def jac(x):
+            pads[:, 1:-1, 1:-1] = x.reshape(2, n, n)
+            d = pads[:, 1:-1, 1:-1]
+            out = np.empty((2 * n, n))
+            for i in (0, 1):
+                o = out[i * n:(i + 1) * n]
+                np.multiply(v[1 - i], d[i], out=o)
+                o += v[i] * d[1 - i]
+                o *= inv_eps
+                o -= jacobian_apply(coefs[i], None, pads[i], h)
+            out[active] = x[active] / tau
+            return out
+
+        def psolve(r):
+            return np.concatenate([precond.apply(r[:n]), precond.apply(r[n:])])
+
+        delta, its = _bicgstab(jac, psolve, np.negative(phi, out=phi))
+        return delta.reshape(2, n, n), its
+
+    u, history, stop, k = _newton(u, residual, direction, cfg, spec, nonnegative=True)
+    krylov += k
+    g1, g2 = GridField(spec, u[0]), GridField(spec, u[1])
     return SolveResult(
         field=(g1, g2),
-        iterations=it,
-        final_residual=history[-1] if history else np.inf,
+        iterations=len(history),
+        final_residual=history[-1],
         residual_history=np.asarray(history),
-        lipschitz_seminorm=lipschitz_seminorm(diff),
-        converged=converged,
-        telemetry={"overlap_sup": overlap},
+        lipschitz_seminorm=lipschitz_seminorm(GridField(spec, u[0] - u[1])),
+        converged=stop == "tol",
+        telemetry={"stop_reason": stop, "krylov_iterations": krylov,
+                   "overlap_sup": float((u[0] * u[1]).max())},
     )
 
 

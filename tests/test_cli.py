@@ -145,6 +145,24 @@ def test_sweep_manifest_reports_why_each_solve_stopped(tmp_path):
     assert all(e["krylov_iterations"] > 0 for e in entries)
 
 
+def test_segregate_manifest_reports_why_it_stopped(tmp_path):
+    base = {"grid.nx": 17, "fixture.amplitude": 60.0, "eps": 0.05}
+    cfg = cli.parse_config(make_config(command="segregate", fixture="edge_bumps", **base))
+    assert cli.run(cfg, out_dir=str(tmp_path / "ok"), quiet=True) == 0
+    tel = read_manifest(str(tmp_path / "ok"))["telemetry"]
+    assert tel["stop_reason"] == "tol"
+    assert tel["krylov_iterations"] > 0
+    assert tel["overlap_sup"] > 0.0
+
+    cfg = cli.parse_config(make_config(command="segregate", fixture="edge_bumps", max_iter=1,
+                                       **base))
+    assert cli.run(cfg, out_dir=str(tmp_path / "short"), quiet=True) == 1
+    man = read_manifest(str(tmp_path / "short"))
+    assert man["verdicts"]["converged"] == "FAIL"
+    assert man["telemetry"]["stop_reason"] == "budget"
+    assert man["telemetry"]["iterations"] == 1
+
+
 @pytest.fixture(scope="module")
 def stored_two_plane(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("fields") / "tp.csv")

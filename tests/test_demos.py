@@ -1,5 +1,4 @@
-"""The quick demos run to completion as standalone scripts (demo 04 marches
-the full segregation ladder and is left to be run by hand)."""
+"""Every demo runs to completion as a standalone script."""
 
 import os
 import subprocess
@@ -10,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 QUICK = ["01_operator_algebra.py", "02_barriers_and_profiles.py", "03_scalar_problem.py",
-         "05_interface_diagnostics.py", "06_cli_tour.py"]
+         "04_segregation.py", "05_interface_diagnostics.py", "06_cli_tour.py"]
 
 
 @pytest.mark.parametrize("script", QUICK)

@@ -15,6 +15,7 @@ from pucci_lab import (
     lipschitz_seminorm,
     make_fixture,
     make_grid,
+    residual_interior,
     residuals_to_csv,
     solve_dirichlet,
     solve_segregation,
@@ -176,6 +177,16 @@ def test_nonfinite_initial_raises_blowup_with_location():
     assert exc.value.coords is not None
 
 
+def test_segregation_nonfinite_initial_raises_blowup_with_location():
+    g = GridSpec(17)
+    f1, f2 = make_fixture(g, "edge_bumps", amplitude=5.0)
+    bad = f2.values.copy()
+    bad[8, 5] = np.nan
+    with pytest.raises(BlowupError) as exc:
+        solve_segregation(f1, f2, SolveConfig(eps=0.1), initial=(f1, GridField(g, bad)))
+    assert exc.value.node == (8, 5)
+
+
 def test_nonfinite_boundary_rejected():
     g = GridSpec(17)
     vals = np.zeros((17, 17))
@@ -237,6 +248,115 @@ def test_segregation_validation():
     with pytest.raises(InputError):
         solve_segregation(pos, make_grid(GridSpec(33), lambda x, y: 0.0 * x),
                           SolveConfig(eps=0.1))
+
+
+SEG_ELL = Ellipticity(1.0, 2.0)
+COARSE_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)
+
+
+def _complementarity(res, f1, f2, eps):
+    """The pair is >= 0 everywhere and keeps its ring data exactly; returns
+    sup |min(u_i, -M-(u_i) + u1 u2 / eps)| over both species, with M- from
+    the closed-form eigenvalues of the central 9-point Hessian."""
+    (u1, u2), h = (f.values for f in res.field), f1.spec.h
+    ring = f1.boundary_mask
+    coup = u1[1:-1, 1:-1] * u2[1:-1, 1:-1] / eps
+    worst = 0.0
+    for u, f in ((u1, f1), (u2, f2)):
+        assert u.min() >= 0.0
+        assert np.array_equal(u[ring], f.values[ring])
+        c = u[1:-1, 1:-1]
+        uxx = (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / h**2
+        uyy = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / h**2
+        uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * h**2)
+        rad = np.sqrt(0.25 * (uxx - uyy) ** 2 + uxy**2)
+        e = np.stack([0.5 * (uxx + uyy) - rad, 0.5 * (uxx + uyy) + rad])
+        m_minus = SEG_ELL.lam * np.maximum(e, 0.0).sum(0) + SEG_ELL.Lam * np.minimum(e, 0.0).sum(0)
+        worst = max(worst, float(np.abs(np.minimum(c, coup - m_minus)).max()))
+    return worst
+
+
+def test_segregation_stiff_cold_start_converges():
+    # the explicit march froze at 8.06e-3 here: its step ignored u_j / eps
+    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.002), ell=SEG_ELL)
+    assert res.converged and res.telemetry["stop_reason"] == "tol"
+    assert _complementarity(res, f1, f2, 0.002) <= 2e-8
+
+
+def test_segregation_coarse_ladder_converges_to_the_stiff_rung():
+    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
+    fields, overlaps = None, []
+    for eps in COARSE_LADDER:
+        res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=eps), ell=SEG_ELL,
+                                initial=fields)
+        # the exact Jacobian converges quadratically: 4 full steps measured
+        assert res.converged and res.iterations <= 6
+        assert _complementarity(res, f1, f2, eps) <= 2e-8
+        fields = res.field
+        overlaps.append(res.telemetry["overlap_sup"])
+    rates = np.diff(np.log(overlaps)) / np.diff(np.log(COARSE_LADDER))
+    assert np.all(np.diff(rates) > 0.0) and rates.max() <= 2.0 / 3.0
+
+
+def test_segregation_budget_returns_its_start():
+    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, eps=0.002, max_iter=1), ell=SEG_ELL)
+    assert not res.converged and res.telemetry["stop_reason"] == "budget"
+    assert res.iterations == 1 and res.final_residual == res.residual_history[0]
+    _complementarity(res, f1, f2, 0.002)
+
+
+def test_segregation_stall_is_reported():
+    # cold at eps = 1e-5 the backtracking runs down to its smallest step;
+    # warm continuation along an eps ladder reaches this eps
+    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=1e-5), ell=SEG_ELL)
+    assert not res.converged and res.telemetry["stop_reason"] == "stall"
+    assert np.all(np.diff(res.residual_history) < 0.0)
+    assert res.final_residual == res.residual_history[-1]
+    _complementarity(res, f1, f2, 1e-5)
+
+
+def _march_step(u, h, eps, tau):
+    """One explicit clamped step v_i <- max(v_i - tau G_i, 0) of the pair u,
+    in place; returns its increment sup |change| / tau."""
+    v = [w[1:-1, 1:-1] for w in u]
+    gap = [v[0] * v[1] / eps - residual_interior(w, h, "M_minus", SchemeSpec(), ell=SEG_ELL)
+           for w in u]
+    new = [np.maximum(vi - tau * gi, 0.0) for vi, gi in zip(v, gap)]
+    inc = max(float(np.abs(a - b).max()) for a, b in zip(new, v)) / tau
+    for vi, ni in zip(v, new):
+        vi[:] = ni
+    return inc
+
+
+def test_segregation_residual_is_the_march_increment():
+    g = GridSpec(17)
+    f1, f2 = make_fixture(g, "edge_bumps", amplitude=5.0)
+    eps, tau = 0.05, g.h**2 / (4.0 * SEG_ELL.Lam)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=eps, max_iter=2),
+                            ell=SEG_ELL)
+    inc = _march_step([f.values.copy() for f in res.field], g.h, eps, tau)
+    assert res.final_residual > 1e-3
+    assert abs(inc - res.final_residual) <= 1e-9 * res.final_residual
+
+
+def test_segregation_solves_the_clamped_march_fixed_point():
+    g = GridSpec(17)
+    f1, f2 = make_fixture(g, "edge_bumps", amplitude=5.0)
+    eps, tol = 0.05, 1e-10
+    res = solve_segregation(f1, f2, SolveConfig(tol=tol, cfl=1.0, eps=eps), ell=SEG_ELL)
+    assert res.converged
+    u = [f1.values.copy(), f2.values.copy()]
+    tau = g.h**2 / (4.0 * SEG_ELL.Lam)
+    for _ in range(20_000):
+        if _march_step(u, g.h, eps, tau) <= tol:
+            break
+    else:
+        raise AssertionError("the march did not converge")
+    for w, f in zip(u, res.field):
+        assert np.abs(w - f.values).max() <= 1e-9
 
 
 def test_sweep_warm_start_path_independent():
