@@ -15,7 +15,11 @@ the equal-slope check, band flatness of level sets, and cone monotonicity
 measured on a dyadic epsilon ladder.
 
 "Sup over a ball" quantities are evaluated by dense bilinear sampling on
-polar point sets whose resolution doubles until the sup stabilizes.
+polar point sets whose resolution doubles until the sup stabilizes.  Each
+level samples u once; the sups of |u|, u+, u- and u itself all come from
+that one sample set's max and min, each quantity keeping its own stopping
+rule.  Cone monotonicity translates its whole node window at once: one
+constant shift is one bilinear combination of four shifted slices.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, InputError
-from .grid import GridField, GridSpec, bilinear_sample, gradient_field, rescale_blowup
+from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, gradient_field,
+                   rescale_blowup)
 from .solver import lipschitz_seminorm
 
 
@@ -239,12 +244,41 @@ def _polar_offsets(rad: float, n_dir: int, n_rad: int):
     return np.concatenate([np.zeros((1, 2)), flat], axis=0)
 
 
+def _ball_sups(u: GridField, x0, r: float, modes, tol: float) -> tuple[float, ...]:
+    """Sup over the closed ball B_r(x0) of each mode's quantity, from one
+    polar sample set s per level: raw = max s, plus = max(max s, 0),
+    minus = max(-min s, 0), abs = max(plus, minus).  Angular and radial
+    resolution double; each mode stops once its sup moves by less than
+    ``tol``, and the sampling stops when every mode has."""
+    found: dict[str, float] = {}
+    prev = None
+    n_dir, n_rad = 16, 4
+    for _ in range(7):
+        off = _polar_offsets(r, n_dir, n_rad)
+        s = bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1])
+        raw = float(np.max(s))
+        plus = max(raw, 0.0)
+        minus = max(-float(np.min(s)), 0.0)
+        cur = {"raw": raw, "plus": plus, "minus": minus, "abs": max(plus, minus)}
+        for m in modes:
+            if m not in found and prev is not None and abs(cur[m] - prev[m]) < tol:
+                found[m] = max(cur[m], prev[m])
+        if len(found) == len(modes):
+            break
+        prev = cur
+        n_dir *= 2
+        n_rad *= 2
+    return tuple(found.get(m, prev[m]) for m in modes)
+
+
 def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = None) -> float:
     """Sup over the closed ball B_r(x0) by polar bilinear sampling.
 
     mode selects the sampled quantity: "abs" for |u|, "plus" / "minus" for
     the phases, "raw" for u itself.  Angular and radial resolution double
-    until the sup moves by less than ``tol`` (default 1e-3 Lip(u) r).
+    until the sup moves by less than ``tol`` (default 1e-3 Lip(u) r).  Each
+    level's sample set serves every mode; :func:`classify_regular` takes
+    three modes from one sampling.
     """
     if mode not in ("abs", "plus", "minus", "raw"):
         raise ConfigurationError(f"unknown ball_sup mode {mode!r}")
@@ -252,24 +286,7 @@ def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = 
         raise InputError(f"radius must be positive, got {r!r}")
     if tol is None:
         tol = 1e-3 * lipschitz_seminorm(u) * r
-    transform = {
-        "abs": np.abs,
-        "plus": lambda s: np.maximum(s, 0.0),
-        "minus": lambda s: np.maximum(-s, 0.0),
-        "raw": lambda s: s,
-    }[mode]
-    n_dir, n_rad = 16, 4
-    prev = -math.inf
-    for _ in range(7):
-        off = _polar_offsets(r, n_dir, n_rad)
-        vals = transform(bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1]))
-        cur = float(np.max(vals))
-        if prev > -math.inf and abs(cur - prev) < tol:
-            return max(cur, prev)
-        prev = cur
-        n_dir *= 2
-        n_rad *= 2
-    return prev
+    return _ball_sups(u, x0, r, (mode,), tol)[0]
 
 
 def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> RegularityRecord:
@@ -283,9 +300,8 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
     if m_min is None:
         m_min = 10.0 * u.spec.h * lip / float(radii.min())
 
-    sup_abs = np.array([ball_sup(u, x0, r, "abs", 1e-3 * lip * r) for r in radii])
-    sup_pos = np.array([ball_sup(u, x0, r, "plus", 1e-3 * lip * r) for r in radii])
-    sup_neg = np.array([ball_sup(u, x0, r, "minus", 1e-3 * lip * r) for r in radii])
+    sup_abs, sup_pos, sup_neg = np.array(
+        [_ball_sups(u, x0, r, ("abs", "plus", "minus"), 1e-3 * lip * r) for r in radii]).T
     M = float((sup_abs / radii).min())
     growth = np.concatenate([sup_pos / radii, sup_neg / radii])
     c_lower = float(growth.min())
@@ -438,13 +454,12 @@ def epsilon_monotonicity(u: GridField, cone: ConeSpec, window) -> float:
             f"window leaves margin {margin:g}; no translate of size >= 2h fits"
         )
 
-    xs, ys = spec.node_coords()
-    keep = (xs >= x_lo - 1e-12) & (xs <= x_hi + 1e-12) \
-        & (ys >= y_lo - 1e-12) & (ys <= y_hi + 1e-12)
-    if not np.any(keep):
+    ix = np.nonzero((spec.xs >= x_lo - 1e-12) & (spec.xs <= x_hi + 1e-12))[0]
+    iy = np.nonzero((spec.ys >= y_lo - 1e-12) & (spec.ys <= y_hi + 1e-12))[0]
+    if ix.size == 0 or iy.size == 0:
         raise InputError("window contains no grid nodes")
-    px, py = xs[keep], ys[keep]
-    base = u.values[keep]
+    rows, cols = slice(int(ix[0]), int(ix[-1]) + 1), slice(int(iy[0]), int(iy[-1]) + 1)
+    base = u.values[rows, cols]
     slack = 1e-12 * max(1.0, float(np.abs(u.values).max()))
 
     ladder = []
@@ -458,10 +473,9 @@ def epsilon_monotonicity(u: GridField, cone: ConeSpec, window) -> float:
     best = math.inf
     for eps in ladder:
         off = _polar_offsets(eps * sin_t, 16, 4)
-        sup = np.full(px.shape, -math.inf)
+        sup = np.full(base.shape, -math.inf)
         for dx, dy in off:
-            vals = bilinear_sample(u, px - eps * ex + dx, py - eps * ey + dy)
-            np.maximum(sup, vals, out=sup)
+            np.maximum(sup, bilinear_shift(u, rows, cols, dx - eps * ex, dy - eps * ey), out=sup)
         if np.all(sup <= base + slack):
             best = eps
         else:

@@ -161,6 +161,11 @@ def gradient_field(fld: GridField) -> VectorField:
     return VectorField(fld.spec, gx, gy)
 
 
+def _snap(f):
+    """Cell fractions within _SNAP of 0 or 1, made exactly 0 or 1."""
+    return np.where(np.abs(f) < _SNAP, 0.0, np.where(np.abs(f - 1.0) < _SNAP, 1.0, f))
+
+
 def bilinear_sample(fld: GridField, x, y):
     """Bilinear interpolation at arbitrary points inside the closed square.
 
@@ -185,10 +190,8 @@ def bilinear_sample(fld: GridField, x, y):
     j0 = np.clip(np.floor(ty).astype(int), 0, spec.nx - 2)
     fx = tx - i0
     fy = ty - j0
-    fx = np.where(np.abs(fx) < _SNAP, 0.0, np.where(np.abs(fx - 1.0) < _SNAP, 1.0, fx))
-    fy = np.where(np.abs(fy) < _SNAP, 0.0, np.where(np.abs(fy - 1.0) < _SNAP, 1.0, fy))
-    fx = np.clip(fx, 0.0, 1.0)
-    fy = np.clip(fy, 0.0, 1.0)
+    fx = np.clip(_snap(fx), 0.0, 1.0)
+    fy = np.clip(_snap(fy), 0.0, 1.0)
     u = fld.values
     out = (
         (1 - fx) * (1 - fy) * u[i0, j0]
@@ -197,6 +200,35 @@ def bilinear_sample(fld: GridField, x, y):
         + fx * fy * u[i0 + 1, j0 + 1]
     )
     return float(out[0]) if scalar else out
+
+
+def bilinear_shift(fld: GridField, rows: slice, cols: slice, dx: float, dy: float) -> np.ndarray:
+    """Bilinear interpolation at the nodes of the block ``values[rows, cols]``
+    (slices with explicit start and stop) translated by ``(dx, dy)``.
+
+    One constant shift gives every node the same cell offset and fractions,
+    so the result is one 4-weight combination of shifted slices of the
+    values.  Fractions snap as in :func:`bilinear_sample`, whose values this
+    matches up to the rounding of each node's fraction; a zero fraction
+    reads no +1 slice on its axis, so a block translated onto the grid edge
+    stays in the array.  A block translated off the grid raises
+    :class:`DomainError`.
+    """
+    axes = []
+    for t, block in ((dx / fld.spec.h, rows), (dy / fld.spec.h, cols)):
+        k = int(np.floor(t))
+        f = float(_snap(t - k))
+        if f == 1.0:
+            k, f = k + 1, 0.0
+        if block.start + k < 0 or block.stop + k + (f > 0.0) > fld.spec.nx:
+            raise DomainError(f"block shifted by ({dx:g}, {dy:g}) leaves the grid")
+        axes.append([(slice(block.start + k + e, block.stop + k + e), w)
+                     for e, w in ((0, 1.0 - f), (1, f)) if w > 0.0])
+    out = 0.0
+    for sy, wy in axes[1]:
+        for sx, wx in axes[0]:
+            out = out + wx * wy * fld.values[sx, sy]
+    return out
 
 
 def rescale_blowup(fld: GridField, x0, r: float, out_spec: GridSpec) -> GridField:
@@ -217,14 +249,15 @@ def rescale_blowup(fld: GridField, x0, r: float, out_spec: GridSpec) -> GridFiel
 def field_to_csv(fld: GridField, path) -> None:
     """Write ``x,y,value`` rows (row-major) plus a JSON sidecar with the spec."""
     spec = fld.spec
-    X, Y = spec.node_coords()
+    ys = [f"{y:.17g}," for y in spec.ys.tolist()]
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        # a row at a time: Python floats for the whole grid would raise the
-        # peak memory by 32 bytes a value
-        for xs, ys, vs in zip(X, Y, fld.values):
-            fh.writelines(f"{x:.17g},{y:.17g},{v:.17g}\n"
-                          for x, y, v in zip(xs.tolist(), ys.tolist(), vs.tolist()))
+        # x formatted once a row, y once a column; a row at a time, since
+        # Python floats for the whole grid would raise the peak memory by 32
+        # bytes a value
+        for x, vs in zip(spec.xs.tolist(), fld.values):
+            xc = f"{x:.17g},"
+            fh.write("".join([f"{xc}{y}{v:.17g}\n" for y, v in zip(ys, vs.tolist())]))
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(
             {"nx": spec.nx, "extent": spec.extent, "origin": list(spec.origin)},

@@ -16,7 +16,10 @@ ball.  Phase splitting does not clip node values (clipping pollutes every
 interface cell's gradient): cells are weighted by the area fraction of the
 positive region under the cell's bilinear interpolant, and interface cells
 take their gradient from the neighbor cell 1.5 h into the respective phase,
-so a straight interface contributes the exact one-sided slope.
+so a straight interface contributes the exact one-sided slope.  The series
+check works on the cell window of the largest ball only, read with the two
+cells on each side that this lookup can reach, so its cost follows the
+largest radius, not the grid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import GridField
+from .grid import GridField, GridSpec
 
 VERDICTS = ("PASS", "FAIL", "DEGENERATE")
 
@@ -69,11 +72,10 @@ def _cell_gradients(u: np.ndarray, h: float):
     return gx, gy
 
 
-def _cell_centers(fld: GridField):
-    spec = fld.spec
-    c = spec.origin[0] + (np.arange(spec.nx - 1) + 0.5) * spec.h
-    cy = spec.origin[1] + (np.arange(spec.nx - 1) + 0.5) * spec.h
-    return np.meshgrid(c, cy, indexing="ij")
+def _cell_centers(spec: GridSpec, lo, hi):
+    """Center coordinates of the cells [lo, hi) per axis, ij indexing."""
+    return np.meshgrid(*(o + (np.arange(a, b) + 0.5) * spec.h
+                         for o, a, b in zip(spec.origin, lo, hi)), indexing="ij")
 
 
 def _tri_positive_fraction(a, b, c):
@@ -121,7 +123,7 @@ def j_r(u_i: GridField, x0, r: float) -> float:
         raise InputError("j_r expects a nonnegative phase (a positive or negative part)")
     h = u_i.spec.h
     gx, gy = _cell_gradients(u_i.values, h)
-    cx, cy = _cell_centers(u_i)
+    cx, cy = _cell_centers(u_i.spec, (0, 0), (u_i.spec.nx - 1,) * 2)
     mask = (cx - x0[0]) ** 2 + (cy - x0[1]) ** 2 <= r * r
     return float(np.sum((gx[mask] ** 2 + gy[mask] ** 2)) * h * h / (r * r))
 
@@ -155,31 +157,44 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     u.spec.require_ball(x0, float(radii[-1]))
 
     h = u.spec.h
-    vals = u.values
-    gx, gy = _cell_gradients(vals, h)
-    energy = gx * gx + gy * gy
-    frac = positive_cell_fraction(vals)
     n_cells = u.spec.nx - 1
+    half_diag = h * math.sqrt(0.5)
+    # only cells whose center lies within r_max + h/sqrt(2) of x0 carry
+    # weight (one more cell absorbs rounding): the quadrature runs on that
+    # window [lo, hi) of cells, read from a node block two cells wider on
+    # each side, as far as the 1.5 h displaced-neighbor lookup reaches
+    t = (np.asarray(x0, dtype=float) - u.spec.origin) / h
+    reach = (float(radii[-1]) + half_diag + h) / h
+    lo = np.maximum(np.floor(t - reach).astype(int), 0)
+    hi = np.minimum(np.ceil(t + reach).astype(int), n_cells)
+    b_lo = np.maximum(lo - 2, 0)
+    b_hi = np.minimum(hi + 2, n_cells)
+    block = u.values[b_lo[0]:b_hi[0] + 1, b_lo[1]:b_hi[1] + 1]
+    core = tuple(slice(a, b) for a, b in zip(lo - b_lo, hi - b_lo))
+    gx, gy = _cell_gradients(block, h)
+    energy = gx * gx + gy * gy
+    frac = positive_cell_fraction(block[core[0].start:core[0].stop + 1,
+                                        core[1].start:core[1].stop + 1])
 
-    # interface cells read their one-sided energies from displaced neighbors
+    # interface cells read their one-sided energies from displaced neighbors,
+    # indexed on the whole grid (clipped at its edge) and then in the block
     mixed = (frac > 0.0) & (frac < 1.0)
-    e_pos = np.where(frac > 0.0, energy, 0.0)
-    e_neg = np.where(frac < 1.0, energy, 0.0)
+    e_pos = np.where(frac > 0.0, energy[core], 0.0)
+    e_neg = np.where(frac < 1.0, energy[core], 0.0)
     if np.any(mixed):
         ix, iy = np.nonzero(mixed)
-        jx, jy = _displaced_cell_index(ix, iy, n_cells, gx[mixed], gy[mixed], +1.0)
-        e_pos[ix, iy] = energy[jx, jy]
-        jx, jy = _displaced_cell_index(ix, iy, n_cells, gx[mixed], gy[mixed], -1.0)
-        e_neg[ix, iy] = energy[jx, jy]
+        mgx, mgy = gx[core][mixed], gy[core][mixed]
+        jx, jy = _displaced_cell_index(ix + lo[0], iy + lo[1], n_cells, mgx, mgy, +1.0)
+        e_pos[ix, iy] = energy[jx - b_lo[0], jy - b_lo[1]]
+        jx, jy = _displaced_cell_index(ix + lo[0], iy + lo[1], n_cells, mgx, mgy, -1.0)
+        e_neg[ix, iy] = energy[jx - b_lo[0], jy - b_lo[1]]
 
-    cx, cy = _cell_centers(u)
+    cx, cy = _cell_centers(u.spec, lo, hi)
     dist = np.hypot(cx - x0[0], cy - x0[1])
     # cells cut by the ball rim get sub-sampled coverage weights; the plain
     # center-in-ball rule wobbles by (h/r)^2, which at the smallest radius of
     # a desk-scale schedule is the same size as the monotonicity slack
-    half_diag = h * math.sqrt(0.5)
-    sub = (np.arange(8) + 0.5) / 8.0 - 0.5
-    ox, oy = [o.ravel() * h for o in np.meshgrid(sub, sub, indexing="ij")]
+    sub = ((np.arange(8) + 0.5) / 8.0 - 0.5) * h
     e1 = frac * e_pos
     e2 = (1.0 - frac) * e_neg
     j1 = np.empty(radii.shape)
@@ -188,9 +203,10 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
         w = (dist <= r - half_diag).astype(float)
         rim = np.abs(dist - r) < half_diag
         if np.any(rim):
-            px = cx[rim][:, None] + ox[None, :] - x0[0]
-            py = cy[rim][:, None] + oy[None, :] - x0[1]
-            w[rim] = np.mean(px * px + py * py <= r * r, axis=1)
+            # an 8 x 8 sub-grid per rim cell, squared per axis, then paired
+            px = cx[rim][:, None] + sub[None, :] - x0[0]
+            py = cy[rim][:, None] + sub[None, :] - x0[1]
+            w[rim] = np.mean((px * px)[:, :, None] + (py * py)[:, None, :] <= r * r, axis=(1, 2))
         j1[k] = np.sum(w * e1) * h * h / (r * r)
         j2[k] = np.sum(w * e2) * h * h / (r * r)
     j = j1 * j2

@@ -15,6 +15,8 @@ from pucci_lab import (
     InputError,
     SlopeFit,
     ball_sup,
+    bilinear_sample,
+    bilinear_shift,
     boundary_consistency,
     check_alpha_beta,
     classify_regular,
@@ -23,8 +25,11 @@ from pucci_lab import (
     extract_zero_set,
     fit_two_plane,
     flatness_measure,
+    lipschitz_seminorm,
     make_fixture,
 )
+from pucci_lab import freeboundary
+from pucci_lab.freeboundary import _polar_offsets
 
 
 def circle_field(gspec, R, c=(0.5, 0.5)):
@@ -175,6 +180,41 @@ def test_ball_sup_modes():
         ball_sup(u, x0, r, "sup")
     with pytest.raises(InputError):
         ball_sup(u, x0, 0.0)
+
+
+def _single_mode_sup(u, x0, r, mode, tol):
+    """The doubling polar loop for one mode alone: (sup, level it stopped at)."""
+    transform = {"abs": np.abs, "plus": lambda s: np.maximum(s, 0.0),
+                 "minus": lambda s: np.maximum(-s, 0.0), "raw": lambda s: s}[mode]
+    n_dir, n_rad, prev = 16, 4, -math.inf
+    for level in range(7):
+        off = _polar_offsets(r, n_dir, n_rad)
+        cur = float(np.max(transform(bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1]))))
+        if prev > -math.inf and abs(cur - prev) < tol:
+            return max(cur, prev), level
+        prev, n_dir, n_rad = cur, 2 * n_dir, 2 * n_rad
+    return prev, 7
+
+
+def test_ball_sup_shared_samples_match_single_mode_loops():
+    # a plane with a narrow bump in each phase: the negative bump's peak is
+    # resolved levels after the positive one, so the modes stop apart
+    g = GridSpec(129)
+    xx, yy = g.node_coords()
+    u = GridField(g, (xx - 0.5) + 3.0 * np.exp(-((xx - 0.62) ** 2 + (yy - 0.53) ** 2) / 0.02 ** 2)
+                  - 2.5 * np.exp(-((xx - 0.41) ** 2 + (yy - 0.37) ** 2) / 0.014 ** 2))
+    x0, radii = (0.5, 0.5), (0.1, 0.2)
+    lip = lipschitz_seminorm(u)
+    ref = {(m, r): _single_mode_sup(u, x0, r, m, 1e-3 * lip * r)
+           for m in ("abs", "plus", "minus", "raw") for r in radii}
+    assert len({level for _, level in ref.values()}) >= 3
+    for (m, r), (sup, _) in ref.items():
+        assert ball_sup(u, x0, r, m) == sup
+    rec = classify_regular(u, x0, radii)
+    assert rec.M == min(ref["abs", r][0] / r for r in radii)
+    growth = [ref[m, r][0] / r for m in ("plus", "minus") for r in radii]
+    assert rec.c_lower == min(growth)
+    assert rec.C_upper == max(growth)
 
 
 def test_classify_regular_even_plane():
@@ -382,6 +422,49 @@ def test_epsilon_monotonicity_window_validation():
         epsilon_monotonicity(u, cone, (0.01, 0.99, 0.01, 0.99))
     with pytest.raises(InputError):
         epsilon_monotonicity(u, cone, (0.5 + 0.1 * g.h, 0.5 + 0.4 * g.h, 0.3, 0.7))
+
+
+def test_epsilon_monotonicity_translates_match_bilinear_sample(monkeypatch):
+    # every translate epsilon_monotonicity forms equals bilinear_sample at
+    # the translated nodes; with theta = 30 deg a window 3h from the walls is
+    # the widest accepted, its one rung eps = 2h is a multiple of h, and the
+    # translates along +-e reach the walls, where the fractions snap to 0
+    translates = []
+
+    def checked_shift(fld, rows, cols, dx, dy):
+        out = bilinear_shift(fld, rows, cols, dx, dy)
+        X, Y = fld.spec.node_coords()
+        ref = bilinear_sample(fld, X[rows, cols] + dx, Y[rows, cols] + dy)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.abs(fld.values).max()
+        translates.append((dx, dy))
+        return out
+
+    monkeypatch.setattr(freeboundary, "bilinear_shift", checked_shift)
+    g = GridSpec(65)
+    rng = np.random.default_rng(5)
+    noise = GridField(g, rng.normal(size=(65, 65)))
+    edge = 3.0 * g.h
+    for axis in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)):
+        translates.clear()
+        epsilon_monotonicity(noise, ConeSpec(axis, math.pi / 6.0), (edge, 1 - edge, edge, 1 - edge))
+        assert len(translates) == 65
+        reach = max(-(dx * axis[0] + dy * axis[1]) for dx, dy in translates)
+        assert reach == pytest.approx(edge, rel=1e-12)
+    u = make_fixture(g, "two_plane", alpha=1.0, beta=2.0, angle=20.0)
+    translates.clear()
+    assert epsilon_monotonicity(u, ConeSpec.from_degrees(20.0, 60.0), WINDOW) == 2.0 * g.h
+    assert len(translates) > 65
+
+
+def test_bilinear_shift_leaving_the_grid_raises():
+    g = GridSpec(17)
+    u = GridField(g, np.ones((17, 17)))
+    block = slice(2, 15)
+    assert np.array_equal(bilinear_shift(u, block, block, -2.0 * g.h, 2.0 * g.h), np.ones((13, 13)))
+    with pytest.raises(DomainError):
+        bilinear_shift(u, block, block, -2.5 * g.h, 0.0)
+    with pytest.raises(DomainError):
+        bilinear_shift(u, block, block, 0.0, 2.5 * g.h)
 
 
 def test_cone_spec_validation():

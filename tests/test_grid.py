@@ -203,3 +203,15 @@ def test_csv_exact_bytes(tmp_path):
     ).encode()
     assert (tmp_path / "f.csv.meta.json").read_text() == (
         '{"extent": 1.0, "nx": 5, "origin": [0.1, -0.3]}\n')
+
+
+def test_csv_bytes_match_per_node_reference(tmp_path):
+    g = GridSpec(23, extent=1.7, origin=(-0.3, 2.1))
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(23, 23)) * 10.0 ** rng.integers(-300, 300, size=(23, 23))
+    vals[3, 4], vals[5, 6], vals[7, 8] = -0.0, 5e-324, 1e16
+    field_to_csv(GridField(g, vals), tmp_path / "f.csv")
+    X, Y = g.node_coords()
+    rows = (f"{x:.17g},{y:.17g},{v:.17g}\n"
+            for x, y, v in zip(X.ravel().tolist(), Y.ravel().tolist(), vals.ravel().tolist()))
+    assert (tmp_path / "f.csv").read_bytes() == ("x,y,value\n" + "".join(rows)).encode()

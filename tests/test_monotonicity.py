@@ -18,6 +18,7 @@ from pucci_lab import (
     positive_cell_fraction,
     series_to_csv,
 )
+from pucci_lab.monotonicity import _cell_gradients, _displaced_cell_index
 
 SCHEDULE = (0.05, 0.1, 0.15, 0.2)
 
@@ -130,6 +131,60 @@ def test_series_detects_genuine_decrease():
     _, verdict = j_series_check(u, (0.5, 0.5), SCHEDULE)
     assert verdict.verdict == "FAIL"
     assert verdict.worst_drop > 0.5
+
+
+def _whole_grid_series(u, x0, radii):
+    """j1, j2 of j_series_check computed over every cell of the grid."""
+    h, n = u.spec.h, u.spec.nx - 1
+    gx, gy = _cell_gradients(u.values, h)
+    energy = gx * gx + gy * gy
+    frac = positive_cell_fraction(u.values)
+    mixed = (frac > 0.0) & (frac < 1.0)
+    e_pos = np.where(frac > 0.0, energy, 0.0)
+    e_neg = np.where(frac < 1.0, energy, 0.0)
+    ix, iy = np.nonzero(mixed)
+    e_pos[ix, iy] = energy[_displaced_cell_index(ix, iy, n, gx[mixed], gy[mixed], +1.0)]
+    e_neg[ix, iy] = energy[_displaced_cell_index(ix, iy, n, gx[mixed], gy[mixed], -1.0)]
+    c = (np.arange(n) + 0.5) * h
+    cx, cy = np.meshgrid(u.spec.origin[0] + c, u.spec.origin[1] + c, indexing="ij")
+    dist = np.hypot(cx - x0[0], cy - x0[1])
+    half_diag = h * math.sqrt(0.5)
+    sub = ((np.arange(8) + 0.5) / 8.0 - 0.5) * h
+    ox, oy = [o.ravel() for o in np.meshgrid(sub, sub, indexing="ij")]
+    e1 = frac * e_pos
+    e2 = (1.0 - frac) * e_neg
+    j1, j2 = [], []
+    for r in radii:
+        w = (dist <= r - half_diag).astype(float)
+        rim = np.abs(dist - r) < half_diag
+        px = cx[rim][:, None] + ox[None, :] - x0[0]
+        py = cy[rim][:, None] + oy[None, :] - x0[1]
+        w[rim] = np.mean(px * px + py * py <= r * r, axis=1)
+        j1.append(np.sum(w * e1) * h * h / (r * r))
+        j2.append(np.sum(w * e2) * h * h / (r * r))
+    return np.array(j1), np.array(j2)
+
+
+def test_series_window_matches_whole_grid():
+    # on noise about half the cells are mixed, the window edge included, so
+    # their displaced neighbors fall outside the weighted cells; balls
+    # touching the walls need the displaced index clipped at the grid edge
+    g = GridSpec(65, extent=1.0, origin=(-0.25, 0.25))
+    rng = np.random.default_rng(3)
+    radii = (0.0625, 0.125, 0.25)
+    centers = [(0.0, 0.75), (0.5, 1.0), (0.137, 0.561), (0.25, 0.5)]
+    fields = [rng.normal(size=(65, 65)) for _ in range(4)]
+    fields.append(rng.integers(-3, 4, size=(65, 65)).astype(float))
+    for vals in fields:
+        u = GridField(g, vals)
+        for x0 in centers:
+            series, verdict = j_series_check(u, x0, radii)
+            j1, j2 = _whole_grid_series(u, x0, radii)
+            assert np.allclose(series.j1, j1, rtol=1e-13, atol=0.0)
+            assert np.allclose(series.j2, j2, rtol=1e-13, atol=0.0)
+            j = j1 * j2
+            worst = max(0.0, float(np.max((j[:-1] - j[1:]) / j[:-1])))
+            assert verdict.verdict == ("PASS" if worst <= 0.02 else "FAIL")
 
 
 def test_series_input_validation():
