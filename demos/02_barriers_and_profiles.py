@@ -1,8 +1,8 @@
 """Singular barriers, radial profiles, and the fixture catalogue.
 
 Builds the power-law barrier for a few ellipticity bands, checks its linear
-gradient bound along a ray, shoots the annulus profile for two operator
-families against closed-form hold-outs, and lists every named grid fixture
+gradient bound along a ray, evaluates the annulus profile for two operator
+families against hand-computed hold-outs, and lists every named grid fixture
 with its value range.
 
 Run with:  python3 demos/02_barriers_and_profiles.py

@@ -10,11 +10,16 @@ boundary circle, and grows at least linearly off it.
 
 The annulus profile phi solves F-(D^2 phi) = 0 between |x| = r/2 and |x| = r
 with phi = 1 on the inner circle and 0 on the outer.  For a radial function
-the Hessian eigenvalues are (phi'', phi'/rho), so the profile obeys the
-scalar ODE phi'' = s(phi'/rho) where s is the family's null slope: the a
-solving F-(diag(a, t)) = 0, positively 1-homogeneous in t.  The outer
-boundary slope sigma = -r phi'(r) measures the linear growth rate off the
-outer circle and is extracted by a one-sided second-order difference.
+the Hessian eigenvalues are (phi'', t) with t = phi'/rho.  The profile
+decreases, so t < 0 on the whole annulus, and there the family's null slope
+(the a solving F-(diag(a, t)) = 0) is linear, a = -k t.  The profile is then
+the power law
+
+    phi(rho) = ((r / rho)^g - 1) / (2^g - 1),    g = k - 1,
+
+or log(r / rho) / log 2 at g = 0, and the outer boundary slope
+sigma = -r phi'(r) = g / (2^g - 1) (1 / log 2 at g = 0) measures the linear
+growth rate off the outer circle.
 
 Two-plane fields alpha <x - x0, nu>+ - beta <x - x0, nu>- are the model
 free-boundary configurations.  Fixture generators at the bottom expose these
@@ -28,11 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputError, ShootingBracketError
+from .errors import ConfigurationError, DomainError, InputError
 from .grid import GridField, GridSpec
 from .operators import Ellipticity, MatrixFamily
-
-_ODE_STEPS = 10_000  # fixed RK4 substep budget across [r/2, r]
 
 
 def gamma_exponent(ell: Ellipticity, n: int = 2) -> float:
@@ -141,81 +144,40 @@ class RadialProfile:
         return float(np.interp(rho, self.rho_samples, self.phi_values))
 
 
-def _null_slope(fam: MatrixFamily):
-    """s with F-(diag(s(t), t)) = 0 for the family, 1-homogeneous in t."""
+def _radial_exponent(fam: MatrixFamily) -> float:
+    """g = k - 1, where F-(diag(-k t, t)) = 0 for the family and every t < 0."""
     if fam.kind == "full_pucci":
-        neg, pos = fam.ell.Lam / fam.ell.lam, fam.ell.lam / fam.ell.Lam
-    elif fam.kind == "identity_only":
-        neg = pos = 1.0
-    elif fam.kind == "frobenius_ball":
+        return gamma_exponent(fam.ell)
+    if fam.kind == "identity_only":
+        return 0.0
+    if fam.kind == "frobenius_ball":
         r0 = fam.r0
-        root = r0 * math.sqrt(2.0 - r0 * r0)
-        neg = (1.0 + root) / (1.0 - r0 * r0)
-        pos = (1.0 - root) / (1.0 - r0 * r0)
-    else:
-        raise ConfigurationError(
-            f"radial profiles need a rotation-closed family, got kind {fam.kind!r}"
-        )
-
-    def s(t: float) -> float:
-        return -neg * t if t <= 0.0 else -pos * t
-
-    return s
+        return (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0) - 1.0
+    raise ConfigurationError(
+        f"radial profiles need a rotation-closed family, got kind {fam.kind!r}"
+    )
 
 
-def _integrate(s, r: float, samples: int, p: float):
-    """RK4 march of (phi, w = phi') from rho = r/2 with phi = 1, w = p."""
-    per = max(1, round(_ODE_STEPS / (samples - 1)))
-    dt = (r / 2.0) / ((samples - 1) * per)
-    rho_out = np.empty(samples)
-    phi_out = np.empty(samples)
-    rho, phi, w = r / 2.0, 1.0, p
-    rho_out[0], phi_out[0] = rho, phi
-    for i in range(1, samples):
-        for _ in range(per):
-            k1p, k1w = w, s(w / rho)
-            k2p, k2w = w + 0.5 * dt * k1w, s((w + 0.5 * dt * k1w) / (rho + 0.5 * dt))
-            k3p, k3w = w + 0.5 * dt * k2w, s((w + 0.5 * dt * k2w) / (rho + 0.5 * dt))
-            k4p, k4w = w + dt * k3w, s((w + dt * k3w) / (rho + dt))
-            phi += dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-            w += dt * (k1w + 2.0 * k2w + 2.0 * k3w + k4w) / 6.0
-            rho += dt
-        rho_out[i], phi_out[i] = rho, phi
-    return rho_out, phi_out
+def _annulus_power_law(g: float, ratio):
+    """(ratio^g - 1) / (2^g - 1) at ratio = r / rho: 1 on rho = r/2, 0 on
+    rho = r, and log2(ratio) at g = 0."""
+    if g == 0.0:
+        return np.log(ratio) / math.log(2.0)
+    return (ratio ** g - 1.0) / (2.0 ** g - 1.0)
 
 
 def radial_profile(fam: MatrixFamily, r: float = 0.4, samples: int = 257) -> RadialProfile:
-    """Shoot the annulus problem F-(D^2 phi) = 0, phi(r/2) = 1, phi(r) = 0."""
+    """The annulus solution of F-(D^2 phi) = 0, phi(r/2) = 1, phi(r) = 0, at
+    ``samples`` equispaced radii, with its outer slope sigma = -r phi'(r)."""
     if not (r > 0.0) or not math.isfinite(r):
         raise ConfigurationError(f"outer radius must be positive, got {r!r}")
     if not isinstance(samples, (int, np.integer)) or samples < 3:
         raise ConfigurationError(f"samples must be an integer >= 3, got {samples!r}")
-    s = _null_slope(fam)
-
-    # The slope ODE w' = s(w/rho) is 1-homogeneous, so the end value is an
-    # affine function of the initial slope p and one probe run determines the
-    # root.  The bracket around it is still integrated and sign-checked.
-    _, probe = _integrate(s, r, samples, p=-1.0)
-    drop = 1.0 - probe[-1]
-    if not (drop > 0.0):
-        raise ShootingBracketError(
-            f"probe slope -1 did not lower the outer value (end {probe[-1]:g})",
-            bracket=(-1.0, 0.0), values=(probe[-1], 1.0))
-    p_star = -1.0 / drop
-    bracket = (2.0 * p_star, 0.5 * p_star)
-    ends = (_integrate(s, r, samples, bracket[0])[1][-1],
-            _integrate(s, r, samples, bracket[1])[1][-1])
-    if not (ends[0] < 0.0 < ends[1]):
-        raise ShootingBracketError(
-            f"outer values {ends[0]:g}, {ends[1]:g} do not straddle zero over "
-            f"slope bracket ({bracket[0]:g}, {bracket[1]:g})",
-            bracket=bracket, values=ends)
-
-    rho, phi = _integrate(s, r, samples, p_star)
-    phi[-1] = 0.0  # imposed boundary value; the shot end differs by roundoff
-    dr = rho[1] - rho[0]
-    sigma = -r * (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dr)
-    return RadialProfile(rho, phi, float(sigma))
+    g = _radial_exponent(fam)
+    rho = np.linspace(r / 2.0, r, samples)
+    phi = _annulus_power_law(g, r / rho)
+    sigma = g / (2.0 ** g - 1.0) if g != 0.0 else 1.0 / math.log(2.0)
+    return RadialProfile(rho, phi, sigma)
 
 
 @dataclass
@@ -285,10 +247,8 @@ def _fixture_two_plane(gspec: GridSpec, alpha: float = 1.0, beta: float = 2.0,
 def _fixture_radial_pucci(gspec: GridSpec, r: float = 0.4, center=(0.5, 0.5),
                           lam: float = 1.0, Lam: float = 2.0) -> GridField:
     # the closed-form annulus solution: psi normalized to 1 on |x| = r/2
-    gamma = gamma_exponent(Ellipticity(lam, Lam))
-    c = 1.0 / (2.0 ** gamma - 1.0)
     dist = _center_floored_dist(gspec, center)
-    return GridField(gspec, c * ((r / dist) ** gamma - 1.0))
+    return GridField(gspec, _annulus_power_law(gamma_exponent(Ellipticity(lam, Lam)), r / dist))
 
 
 def _fixture_harmonic_quadratic(gspec: GridSpec, center=(0.0, 0.0)) -> GridField:

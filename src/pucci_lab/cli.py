@@ -219,8 +219,10 @@ def _check_key(key: str, v, line: int):
         _fail(f"scheme must be 'central' or 'wide', got {v!r}", line, key)
     elif key == "scheme.K" and (v < 4 or v % 2 != 0):
         _fail(f"scheme.K must be even and >= 4, got {v}", line, key)
-    elif key in ("tol", "cfl", "eps") and not v > 0.0:
+    elif key in ("tol", "eps") and not v > 0.0:
         _fail(f"{key} must be positive, got {v}", line, key)
+    elif key == "cfl" and not (0.0 < v <= 1.0):
+        _fail(f"cfl must lie in (0, 1], got {v}", line, key)
     elif key == "max_iter" and v < 1:
         _fail(f"max_iter must be >= 1, got {v}", line, key)
     elif key == "eps_list":
@@ -244,10 +246,6 @@ def _check_key(key: str, v, line: int):
 def _check_config(table: dict):
     if table["command"] is None:
         _fail("config must set 'command'")
-    if table["ell.lambda"] > table["ell.Lambda"]:
-        _fail(
-            f"ell.lambda = {table['ell.lambda']} exceeds ell.Lambda = {table['ell.Lambda']}"
-        )
     if table["command"] == "segregate" and table["fixture"] not in _PAIR_FIXTURES:
         _fail(
             f"segregate needs a two-species fixture ({', '.join(_PAIR_FIXTURES)}), "

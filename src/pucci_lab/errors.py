@@ -34,16 +34,6 @@ class BlowupError(RuntimeError):
         self.coords = coords
 
 
-class ShootingBracketError(RuntimeError):
-    """Shooting for a radial profile failed to bracket the target slope.
-    Carries the attempted bracket and endpoint values."""
-
-    def __init__(self, message, bracket=None, values=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.values = values
-
-
 class ParseError(ConfigurationError):
     """Config-file parse failure; names the offending key and line."""
 

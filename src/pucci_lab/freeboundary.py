@@ -347,9 +347,10 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
     """Least-squares two-plane asymptote over a shrinking blow-up schedule.
 
     ``radii`` is decreasing; the returned fit is the one at the smallest
-    radius.  The direction is seeded from the contour normal nearest x0 and
-    refined by a bounded 1-D search; slopes come from the separable normal
-    equations at each candidate direction.
+    radius.  The direction is seeded from the interpolated gradient at x0
+    (at a contour vertex, that vertex's normal) and refined by a bounded 1-D
+    search; slopes come from the separable normal equations at each
+    candidate direction.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0 or any(r <= 0.0 for r in radii):
@@ -361,15 +362,10 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
             f"smallest fit radius {radii[-1]:g} is under 8h = {8 * u.spec.h:g}"
         )
 
-    curve = extract_zero_set(u)
-    if not curve.is_empty:
-        n = curve.normals[curve.nearest_vertex(x0)]
-        phi0 = math.atan2(n[1], n[0])
-    else:
-        g = gradient_field(u)
-        gx = bilinear_sample(GridField(u.spec, g.gx), x0[0], x0[1])
-        gy = bilinear_sample(GridField(u.spec, g.gy), x0[0], x0[1])
-        phi0 = math.atan2(gy, gx)
+    g = gradient_field(u)
+    gx = bilinear_sample(GridField(u.spec, g.gx), x0[0], x0[1])
+    gy = bilinear_sample(GridField(u.spec, g.gy), x0[0], x0[1])
+    phi0 = math.atan2(gy, gx)
 
     XI, ETA = _BLOWUP_SPEC.node_coords()
     rho = np.hypot(XI, ETA)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pucci_lab import (
     BarrierSpec,
@@ -14,12 +16,12 @@ from pucci_lab import (
     MatrixFamily,
     RadialProfile,
     SchemeSpec,
-    ShootingBracketError,
     SolveConfig,
     SymMat2,
     TwoPlaneSpec,
     barrier_gradient_bound,
     barrier_psi,
+    family_extremal,
     gamma_exponent,
     make_fixture,
     radial_profile,
@@ -173,11 +175,46 @@ def test_profile_dataclass_validation():
     assert prof.at(0.3) == pytest.approx(0.5)
 
 
-def test_shooting_bracket_error_payload():
-    err = ShootingBracketError("no sign change", bracket=(-2.0, -0.5),
-                               values=(-0.1, 0.2))
-    assert err.bracket == (-2.0, -0.5)
-    assert err.values == (-0.1, 0.2)
+# (family, k) with F-(diag(-k t, t)) = 0 for t < 0; k serves only the control
+radial_families = st.one_of(
+    st.builds(lambda lam, Lam: (MatrixFamily("full_pucci", Ellipticity(lam, Lam)), Lam / lam),
+              st.floats(0.25, 1.0), st.floats(1.0, 4.0)),
+    st.just((MatrixFamily("identity_only", Ellipticity(1.0, 1.0)), 1.0)),
+    st.builds(lambda r0: (MatrixFamily("frobenius_ball", Ellipticity(1.0 - r0, 1.0 + r0), r0=r0),
+                          (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0)),
+              st.floats(0.05, 0.9)),
+)
+
+
+def null_residual(fam, rho, phi):
+    """sup over interior samples of |F-(diag(phi'', phi'/rho))|, with the
+    derivatives from central differences of the samples."""
+    dr = rho[1] - rho[0]
+    d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
+    d2 = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dr ** 2
+    return max(abs(family_extremal(fam, SymMat2(a, 0.0, t), "inf"))
+               for a, t in zip(d2, d1 / rho[1:-1]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam_k=radial_families, r=st.floats(0.1, 0.5))
+def test_radial_profile_is_null_by_the_operator_kernel(fam_k, r):
+    # second-order consistency: halving the spacing cuts the residual ~4x
+    fam, k = fam_k
+    sups = []
+    for n in (257, 513):
+        prof = radial_profile(fam, r=r, samples=n)
+        sups.append(null_residual(fam, prof.rho_samples, prof.phi_values))
+    assert sups[0] >= 3.0 * sups[1]
+
+    # control: a power law whose null slope is 1% off converges to a
+    # nonzero residual, which does not fall by that factor
+    g = 1.01 * k - 1.0
+    bad = []
+    for n in (257, 513):
+        rho = np.linspace(r / 2.0, r, n)
+        bad.append(null_residual(fam, rho, ((r / rho) ** g - 1.0) / (2.0 ** g - 1.0)))
+    assert bad[0] < 3.0 * bad[1]
 
 
 def test_sandwich_check_reports_violations():
@@ -214,6 +251,15 @@ def test_fixture_names_and_errors():
         f1, f2 = make_fixture(g, name)
         assert np.all(f1.values >= 0.0) and np.all(f2.values >= 0.0)
         assert np.all(f1.values * f2.values == 0.0)
+
+
+def test_radial_pucci_fixture_at_equal_bounds_is_the_log_profile():
+    # gamma = 0 at lam = Lam: the annulus solution is log(r / d) / log 2
+    g = GridSpec(65)
+    fld = make_fixture(g, "radial_pucci", lam=1.0, Lam=1.0)
+    xx, yy = g.node_coords()
+    dist = np.maximum(np.hypot(xx - 0.5, yy - 0.5), g.h / 2.0)
+    assert np.abs(fld.values - np.log(0.4 / dist) / math.log(2.0)).max() <= 1e-12
 
 
 def test_sign_change_fixture_is_boundary_active():

@@ -70,6 +70,15 @@ def test_parse_errors_name_key_and_line():
         cli.parse_config("command = solve\njust words\n")
 
 
+def test_parse_cfl_range_matches_solve_config():
+    assert cli.parse_config("command = solve\ncfl = 1\n")["cfl"] == 1.0
+    for bad in ("1.5", "0"):
+        with pytest.raises(ParseError) as exc:
+            cli.parse_config(f"command = solve\ncfl = {bad}\n")
+        assert exc.value.key == "cfl"
+        assert exc.value.line == 2
+
+
 def test_parse_eps_list_ordering():
     cfg = cli.parse_config("command = sweep\neps_list = 0.2,0.1,0.05\n")
     assert cfg["eps_list"] == (0.2, 0.1, 0.05)
@@ -133,6 +142,15 @@ def test_unconverged_solve_exits_one(tmp_path):
     assert man["verdicts"]["converged"] == "FAIL"
     assert man["telemetry"]["stop_reason"] == "budget"
     assert man["telemetry"]["iterations"] == 2
+
+
+def test_solve_radial_pucci_at_equal_bounds(tmp_path):
+    # lam = Lam makes the fixture's exponent 0, its log-profile case
+    out = str(tmp_path / "rp")
+    cfg = cli.parse_config(make_config(command="solve", fixture="radial_pucci",
+                                       **{"ell.Lambda": 1}))
+    assert cli.run(cfg, out_dir=out, quiet=True) == 0
+    assert read_manifest(out)["verdicts"] == {"converged": "PASS"}
 
 
 def test_sweep_manifest_reports_why_each_solve_stopped(tmp_path):

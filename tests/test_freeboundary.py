@@ -310,6 +310,29 @@ def test_fit_two_plane_rotation_covariance():
     assert math.degrees(math.atan2(f2.nu[1], f2.nu[0])) == pytest.approx(47.0, abs=0.01)
 
 
+def test_fit_two_plane_does_no_whole_grid_contour(monkeypatch):
+    g = GridSpec(257)
+    u = make_fixture(g, "two_plane", alpha=2.0, beta=3.0, angle=30.0)
+    curve = extract_zero_set(u)
+    a = math.radians(30.0)
+    # the node (0.5, 0.5) lies on the kink and is a curve vertex; the second
+    # point lies on the kink about 0.3h from every vertex
+    vertex = tuple(curve.vertices[curve.nearest_vertex((0.5, 0.5))])
+    assert vertex == (0.5, 0.5)
+    off = (0.5 - 0.037 * math.sin(a), 0.5 + 0.037 * math.cos(a))
+    assert np.hypot(*(curve.vertices - off).T).min() >= 0.25 * g.h
+
+    def no_contour(_):
+        raise AssertionError("fit_two_plane contoured the whole grid")
+
+    monkeypatch.setattr(freeboundary, "extract_zero_set", no_contour)
+    for x0 in (vertex, off):
+        fit = fit_two_plane(u, x0, (0.2, 0.1, 0.05))
+        assert fit.alpha == pytest.approx(2.0, rel=1e-3)
+        assert fit.beta == pytest.approx(3.0, rel=1e-3)
+        assert fit.nu == pytest.approx((math.cos(a), math.sin(a)), abs=1e-4)
+
+
 def test_fit_two_plane_no_asymptote_flag():
     g = GridSpec(257)
     xx, yy = g.node_coords()
