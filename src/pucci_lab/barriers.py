@@ -247,6 +247,10 @@ def _fixture_two_plane(gspec: GridSpec, alpha: float = 1.0, beta: float = 2.0,
 def _fixture_radial_pucci(gspec: GridSpec, r: float = 0.4, center=(0.5, 0.5),
                           lam: float = 1.0, Lam: float = 2.0) -> GridField:
     # the closed-form annulus solution: psi normalized to 1 on |x| = r/2
+    if not (r > 0.0) or not math.isfinite(r):
+        raise ConfigurationError(f"radial_pucci needs a positive radius r, got {r!r}")
+    if not gspec.contains(*center):
+        raise DomainError(f"radial_pucci center {tuple(center)} lies outside the domain")
     dist = _center_floored_dist(gspec, center)
     return GridField(gspec, _annulus_power_law(gamma_exponent(Ellipticity(lam, Lam)), r / dist))
 

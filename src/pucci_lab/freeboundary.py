@@ -12,7 +12,10 @@ On top of the curve sit the diagnostics: coincidence of the two phase
 boundaries (Hausdorff distance between one level curve of each phase),
 linear-growth classification of interface points, two-plane slope fits with
 the equal-slope check, band flatness of level sets, and cone monotonicity
-measured on a dyadic epsilon ladder.
+measured on a dyadic epsilon ladder.  The slope fit's direction search is
+Brent's bounded minimizer (Brent, *Algorithms for Minimization without
+Derivatives*, 1973), ported step for step from SciPy's bounded
+``minimize_scalar`` so that the module needs numpy alone.
 
 "Sup over a ball" quantities are evaluated by dense bilinear sampling on
 polar point sets whose resolution doubles until the sup stabilizes.  Each
@@ -28,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, InputError
 from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, gradient_field,
@@ -328,6 +330,55 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
 
 
 _BLOWUP_SPEC = GridSpec(65, extent=2.0, origin=(-1.0, -1.0))
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of f on [a, b] by Brent's bounded search: a parabolic step
+    through the three best points when it lands inside the bracket and moves
+    less than half the step before last, a golden-section step otherwise,
+    never closer than tol1 to the best point; at most 500 evaluations.  Step
+    for step SciPy's ``minimize_scalar(method="bounded")``, so the argmin is
+    the same bit for bit."""
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    for _ in range(499):
+        xm = 0.5 * (a + b)
+        tol1 = math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN * e
+        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def _fit_at_angle(xi, eta, ur, phi):
@@ -378,11 +429,7 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
         def sse(phi):
             return float(np.sum(_fit_at_angle(xi, eta, ur, phi)[2] ** 2))
 
-        opt = minimize_scalar(
-            sse, bounds=(phi0 - math.pi / 4, phi0 + math.pi / 4),
-            method="bounded", options={"xatol": 1e-7},
-        )
-        phi = float(opt.x)
+        phi = _fminbound(sse, phi0 - math.pi / 4, phi0 + math.pi / 4, 1e-7)
         alpha, beta, resid = _fit_at_angle(xi, eta, ur, phi)
         fits.append((phi, alpha, beta, float(np.max(np.abs(resid)))))
         phi0 = phi  # warm-start the next, smaller radius

@@ -102,16 +102,20 @@ def positive_cell_fraction(u: np.ndarray) -> np.ndarray:
 
     Each cell splits into four triangles meeting at the center sample (the
     corner mean), which also resolves saddle cells the same way the contour
-    extraction does.
+    extraction does.  A cell whose corners are all positive has a positive
+    mean and fraction exactly 1; one with no positive corner has fraction
+    exactly 0; only the other cells evaluate the triangle formulas.
     """
-    v00 = u[:-1, :-1]
-    v10 = u[1:, :-1]
-    v11 = u[1:, 1:]
-    v01 = u[:-1, 1:]
+    corners = (u[:-1, :-1], u[1:, :-1], u[1:, 1:], u[:-1, 1:])
+    n_pos = sum(c > 0.0 for c in corners)
+    frac = (n_pos == 4).astype(float)
+    mixed = (n_pos > 0) & (n_pos < 4)
+    v00, v10, v11, v01 = (c[mixed] for c in corners)
     vc = 0.25 * (v00 + v10 + v11 + v01)
     total = (_tri_positive_fraction(v00, v10, vc) + _tri_positive_fraction(v10, v11, vc)
              + _tri_positive_fraction(v11, v01, vc) + _tri_positive_fraction(v01, v00, vc))
-    return 0.25 * total
+    frac[mixed] = 0.25 * total
+    return frac
 
 
 def j_r(u_i: GridField, x0, r: float) -> float:

@@ -32,6 +32,10 @@ rather than hidden.
 An unconverged solve returns its best iterate with ``converged=False``
 rather than raising; a non-finite starting residual raises
 :class:`BlowupError` naming the first offending node.
+
+The sine transforms come from ``scipy.fft``, the package's only scipy
+import.  It is made when the first Poisson preconditioner is built, so
+importing the package, and every diagnostic, needs numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .errors import BlowupError, ConfigurationError, InputError
 from .grid import GridField, GridSpec
@@ -333,6 +336,8 @@ class _PoissonPreconditioner:
     reproduce the input there (Buzbee, Dorr, George & Golub 1971)."""
 
     def __init__(self, n: int, h: float, scale: float, frozen: np.ndarray | None):
+        from scipy.fft import dstn, idstn  # see the module docstring
+        self._dstn, self._idstn = dstn, idstn
         self.n, self.frozen = n, frozen
         lam1 = (2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) - 2.0) / (h * h)
         self.eig = scale * (lam1[:, None] + lam1[None, :])
@@ -348,9 +353,9 @@ class _PoissonPreconditioner:
         self.cap_inv = _definite_inverse(cap)
 
     def _poisson(self, r):
-        spec = dstn(r, type=1)
+        spec = self._dstn(r, type=1)
         spec /= self.eig
-        return idstn(spec, type=1, overwrite_x=True)
+        return self._idstn(spec, type=1, overwrite_x=True)
 
     def apply(self, r):
         """The preconditioned (n, n) array for the (n, n) array ``r``."""

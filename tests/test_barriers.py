@@ -253,6 +253,17 @@ def test_fixture_names_and_errors():
         assert np.all(f1.values * f2.values == 0.0)
 
 
+def test_fixture_parameter_validation():
+    g = GridSpec(17)
+    for r in (0.0, -0.4):
+        with pytest.raises(ConfigurationError, match="radius"):
+            make_fixture(g, "radial_pucci", r=r)
+    with pytest.raises(DomainError):
+        make_fixture(g, "radial_pucci", center=(1.5, 0.5))
+    with pytest.raises(ConfigurationError, match="gamma"):
+        make_fixture(g, "psi", gamma=-1.0)
+
+
 def test_radial_pucci_fixture_at_equal_bounds_is_the_log_profile():
     # gamma = 0 at lam = Lam: the annulus solution is log(r / d) / log 2
     g = GridSpec(65)

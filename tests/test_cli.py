@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from pucci_lab import (
+    Ellipticity,
     GridField,
     GridSpec,
+    MatrixFamily,
+    OperatorPair,
     ParseError,
+    SymMat2,
     cli,
     field_from_csv,
     field_to_csv,
@@ -77,6 +81,26 @@ def test_parse_cfl_range_matches_solve_config():
             cli.parse_config(f"command = solve\ncfl = {bad}\n")
         assert exc.value.key == "cfl"
         assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("fixture, key, bad", [
+    ("radial_pucci", "fixture.r", "0"),
+    ("radial_pucci", "fixture.r", "-0.4"),
+    ("psi", "fixture.gamma", "-1"),
+])
+def test_parse_rejects_bad_fixture_values(fixture, key, bad):
+    with pytest.raises(ParseError, match=key) as exc:
+        cli.parse_config(f"command = solve\nfixture = {fixture}\n{key} = {bad}\n")
+    assert exc.value.key == key
+    assert exc.value.line == 3
+
+
+def test_parse_rejects_nonpositive_edge_bumps_amplitude():
+    # sign_change takes any amplitude; edge_bumps needs a positive one
+    cli.parse_config("command = solve\nfixture.amplitude = -1\n")
+    with pytest.raises(ParseError) as exc:
+        cli.parse_config("command = segregate\nfixture.amplitude = 0\nfixture = edge_bumps\n")
+    assert (exc.value.key, exc.value.line) == ("fixture.amplitude", 2)
 
 
 def test_parse_eps_list_ordering():
@@ -253,6 +277,18 @@ def test_verify_suites_pass(tmp_path):
     verdicts = read_manifest(out)["verdicts"]
     assert verdicts == {"operator_property": "PASS", "barrier_residual": "PASS",
                         "j_r": "PASS", "slope_fit": "PASS"}
+
+
+def test_verify_operator_suite_fails_on_broken_families():
+    # a Frobenius ball wider than its ellipticity band breaks the chain
+    # M- <= F-; a finite set is not rotation closed
+    ball = MatrixFamily("frobenius_ball", Ellipticity(0.5, 1.5), r0=0.5)
+    object.__setattr__(ball, "r0", 0.9)
+    finite = MatrixFamily("finite_set", Ellipticity(1.0, 2.0),
+                          members=(SymMat2(1.0, 0.0, 1.0), SymMat2(1.0, 0.0, 2.0)))
+    assert cli._verify_operators(np.random.default_rng(1))
+    for fam in (ball, finite):
+        assert not cli._verify_operators(np.random.default_rng(1), [OperatorPair(fam, fam)])
 
 
 def test_main_round_trip(tmp_path, capsys):

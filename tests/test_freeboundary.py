@@ -29,7 +29,7 @@ from pucci_lab import (
     make_fixture,
 )
 from pucci_lab import freeboundary
-from pucci_lab.freeboundary import _polar_offsets
+from pucci_lab.freeboundary import _fminbound, _polar_offsets
 
 
 def circle_field(gspec, R, c=(0.5, 0.5)):
@@ -352,6 +352,27 @@ def test_fit_two_plane_radii_validation():
         fit_two_plane(u, (0.5, 0.5), (0.05, 0.1))
     with pytest.raises(InputError):
         fit_two_plane(u, (0.5, 0.5), (0.2, 0.01))
+
+
+_OBJECTIVES = {
+    "smooth": lambda c, w: lambda x: w * (x - c) ** 2 + math.sin(3.0 * x),
+    "kinked": lambda c, w: lambda x: abs(x - c) ** w,
+    "step": lambda c, w: lambda x: float(math.floor(w * (x - c))) ** 2,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_OBJECTIVES)), c=st.floats(-3.0, 3.0),
+       w=st.floats(0.3, 4.0), a=st.floats(-4.0, 2.0), width=st.floats(1e-6, 6.0),
+       log_tol=st.floats(-9.0, -3.0))
+def test_fminbound_is_scipy_bounded_bit_for_bit(kind, c, w, a, width, log_tol):
+    from scipy.optimize import minimize_scalar
+    f = _OBJECTIVES[kind](c, w)
+    b, tol = a + width, 10.0 ** log_tol
+    ref = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol}).x
+    got = _fminbound(f, a, b, tol)
+    assert type(got) is float
+    assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
 def test_check_alpha_beta_verdicts():

@@ -18,7 +18,8 @@ from pucci_lab import (
     positive_cell_fraction,
     series_to_csv,
 )
-from pucci_lab.monotonicity import _cell_gradients, _displaced_cell_index
+from pucci_lab.monotonicity import (_cell_gradients, _displaced_cell_index,
+                                   _tri_positive_fraction)
 
 SCHEDULE = (0.05, 0.1, 0.15, 0.2)
 
@@ -257,6 +258,26 @@ def test_positive_cell_fraction_complement():
     u = np.sin(3.1 * xx + 0.4) * np.cos(2.3 * yy) + 0.17
     assert positive_cell_fraction(u) + positive_cell_fraction(-u) == pytest.approx(
         np.ones((32, 32)))
+
+
+def _all_cells_fraction(u):
+    """The triangle formulas evaluated on every cell."""
+    v00, v10, v11, v01 = u[:-1, :-1], u[1:, :-1], u[1:, 1:], u[:-1, 1:]
+    vc = 0.25 * (v00 + v10 + v11 + v01)
+    return 0.25 * (_tri_positive_fraction(v00, v10, vc) + _tri_positive_fraction(v10, v11, vc)
+                   + _tri_positive_fraction(v11, v01, vc) + _tri_positive_fraction(v01, v00, vc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                          st.floats(-1e300, 1e300, allow_nan=False)),
+                min_size=36, max_size=36))
+def test_positive_cell_fraction_matches_all_cells_formula(values):
+    # only sign-changing cells evaluate the formulas; the others are exactly
+    # 0 or 1, as the formulas give, bit for bit
+    u = np.array(values).reshape(6, 6)
+    got, ref = positive_cell_fraction(u), _all_cells_fraction(u)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_series_to_csv_roundtrip(tmp_path):

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import pucci_lab
 from pucci_lab import (
     BlowupError,
     ConfigurationError,
@@ -102,6 +108,30 @@ def test_capacitance_preconditioner_solves_the_held_poisson_problem():
     lap = (pad[2:, 1:-1] + pad[:-2, 1:-1] + pad[1:-1, 2:] + pad[1:-1, :-2]
            - 4.0 * x) / g.h ** 2
     assert np.abs(scale * lap - r)[~frozen].max() <= 1e-10 * np.abs(r).max()
+
+
+def _scipy_modules_in_fresh_interpreter(code: str):
+    """Run ``code`` in a new interpreter on this package, then return the
+    scipy modules loaded at each ``mark()`` it calls."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pucci_lab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    prelude = ("import json, sys\nmarks = []\n"
+               "def mark():\n"
+               "    marks.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", prelude + code + "\nprint(json.dumps(marks))"],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_imports_without_scipy_until_the_first_preconditioner():
+    # fresh interpreters, so that no import made by another test can hide one
+    bare, built = _scipy_modules_in_fresh_interpreter(
+        "import pucci_lab, pucci_lab.cli\nmark()\n"
+        "pucci_lab.solver._PoissonPreconditioner(5, 0.25, 1.0, None)\nmark()")
+    (fft_alone,) = _scipy_modules_in_fresh_interpreter("import numpy, scipy.fft\nmark()")
+    assert bare == []
+    assert "scipy.fft" in built and built == fft_alone
 
 
 def test_warm_restart_is_immediate():
