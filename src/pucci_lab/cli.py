@@ -110,7 +110,7 @@ _KEYS: dict = {
     "scheme": (str, "central"),
     "scheme.K": (int, 4),
     "tol": (_p_float, 1e-8),
-    "max_iter": (int, 200_000),
+    "max_iter": (int, 100),
     "cfl": (_p_float, 0.8),
     "eps": (_p_float, 0.05),
     "eps_list": (_p_floats, (0.2, 0.1, 0.05, 0.025)),
@@ -259,6 +259,10 @@ def _grid_spec(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg["grid.nx"], cfg["grid.extent"], cfg["grid.origin"])
 
 
+def _grid_center(spec: GridSpec) -> tuple[float, float]:
+    return (spec.origin[0] + spec.extent / 2.0, spec.origin[1] + spec.extent / 2.0)
+
+
 def _ellipticity(cfg: RunConfig) -> Ellipticity:
     return Ellipticity(cfg["ell.lambda"], cfg["ell.Lambda"])
 
@@ -296,6 +300,11 @@ def _fixture_kwargs(cfg: RunConfig) -> dict:
         "edge_bumps": ("amplitude",),
     }[name]
     kw = {p: cfg[f"fixture.{p}"] for p in per}
+    center = _grid_center(_grid_spec(cfg))
+    if name in ("psi", "radial_pucci"):
+        kw["center"] = center
+    elif name in ("two_plane", "sign_change", "split_supports"):
+        kw["x0"] = center
     if name == "radial_pucci":
         kw["lam"] = cfg["ell.lambda"]
         kw["Lam"] = cfg["ell.Lambda"]
@@ -387,7 +396,8 @@ def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     man.data["telemetry"]["entries"] = [
         {"eps": e.eps, "iterations": e.iterations, "final_residual": e.final_residual,
          "lipschitz_seminorm": e.lipschitz_seminorm, "converged": e.converged,
-         "stop_reason": e.stop_reason, "krylov_iterations": e.krylov_iterations}
+         "stop_reason": e.stop_reason, "krylov_iterations": e.krylov_iterations,
+         "krylov_capped": e.krylov_capped}
         for e in report.entries
     ]
     man.data["telemetry"]["gaps"] = report.gaps
@@ -423,9 +433,8 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
                 man.data["verdicts"][name] = "DEGENERATE"
                 rows.append((name, math.nan, "DEGENERATE"))
         else:
-            center = (spec.origin[0] + spec.extent / 2.0, spec.origin[1] + spec.extent / 2.0)
             x0 = cfg["x0"] if cfg["x0"] is not None else \
-                tuple(curve.vertices[curve.nearest_vertex(center)])
+                tuple(curve.vertices[curve.nearest_vertex(_grid_center(spec))])
             radii = cfg["radii"]
 
             try:

@@ -6,8 +6,9 @@ Scalar problems solve R(u) = 0 for the residual R of
 policy (``operators.linearize``: the attaining matrix per node, plus
 H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
-Laplacian (fast sine transforms, with a capacitance correction for frozen
-nodes).  The segregation system
+Laplacian (fast sine transforms).  Frozen nodes are identity rows of J: the
+preconditioner passes them through and zeroes them in the Laplacian's
+input.  The segregation system
 
     M-(u_i) = (1/eps) u_1 u_2,   u_i >= 0,  u_i = f_i on the ring
 
@@ -72,7 +73,7 @@ class SolveConfig:
 
     scheme: SchemeSpec = SchemeSpec()
     tol: float = 1e-8
-    max_iter: int = 200_000
+    max_iter: int = 100
     cfl: float = 0.8
     eps: float | None = None
 
@@ -184,13 +185,13 @@ def solve_dirichlet(
         return r, float(np.abs(r).max())
 
     scale = 1.0 if ell_r is None else 0.5 * (ell_r.lam + ell_r.Lam)
-    precond = _PoissonPreconditioner(spec.nx - 2, spec.h, scale, frozen_int)
+    precond = _PoissonPreconditioner(spec.nx - 2, spec.h, scale)
 
     def direction(v, res_arr):
         _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
-        return _newton_direction(coefs, diag, res_arr, spec.h, precond)
+        return _newton_direction(coefs, diag, res_arr, spec.h, precond, frozen_int)
 
-    u, history, stop, krylov = _newton(u, residual, direction, cfg, spec)
+    u, history, tel = _newton(u, residual, direction, cfg, spec)
     out = GridField(spec, u)
     return SolveResult(
         field=out,
@@ -198,8 +199,8 @@ def solve_dirichlet(
         final_residual=history[-1],
         residual_history=np.asarray(history),
         lipschitz_seminorm=lipschitz_seminorm(out),
-        converged=stop == "tol",
-        telemetry={"stop_reason": stop, "krylov_iterations": krylov},
+        converged=tel["stop_reason"] == "tol",
+        telemetry=tel,
     )
 
 
@@ -213,19 +214,21 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec,
     Krylov iteration count, and may consume ``r``.  Each step halves from 1
     down to MIN_STEP until the sup-norm falls; with ``nonnegative`` each
     trial is clamped at 0 before its residual is evaluated.  Returns the last
-    iterate, the sup-norm history, the stop reason ("tol", "budget" or
-    "stall") and the total Krylov iterations; every accepted step lowers the
-    residual, so the last iterate is the best.
+    iterate, the sup-norm history and the telemetry: the stop reason ("tol",
+    "budget" or "stall"), the total Krylov iterations and the number of
+    Newton steps whose Krylov solve ended at KRYLOV_MAX_ITER; every accepted
+    step lowers the residual, so the last iterate is the best.
     """
     res_arr, res = residual(u)
     if not np.isfinite(res):
         raise _blowup_error(res_arr, spec)
     history = [res]
-    krylov = 0
+    krylov = capped = 0
     stop = "tol" if res <= cfg.tol else None
     while stop is None and len(history) < cfg.max_iter:
         delta, k = direction(u, res_arr)
         krylov += k
+        capped += int(k == KRYLOV_MAX_ITER)
         trial = u.copy()
         step = 1.0
         while True:
@@ -244,15 +247,18 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec,
             history.append(res)
             if res <= cfg.tol:
                 stop = "tol"
-    return u, history, stop or "budget", krylov
+    return u, history, {"stop_reason": stop or "budget", "krylov_iterations": krylov,
+                        "krylov_capped": capped}
 
 
-def _newton_direction(coefs, diag, res_arr, h, precond):
+def _newton_direction(coefs, diag, res_arr, h, precond, frozen):
     """Solve J delta = -R for the policy Jacobian J (``linearize``) by
-    preconditioned BiCGSTAB; returns delta and the iteration count.  Frozen
-    nodes are identity rows, where R is 0.  ``res_arr`` is consumed."""
-    n, frozen = precond.n, precond.frozen
-    pad = np.zeros((n + 2, n + 2))
+    preconditioned BiCGSTAB; returns delta and the iteration count.  The
+    ``frozen`` nodes (a mask, or None) are identity rows of J, where R is 0:
+    the preconditioner returns its input there and inverts the Laplacian on
+    the other nodes with the frozen entries zeroed.  ``res_arr`` is
+    consumed."""
+    pad = np.zeros((precond.n + 2, precond.n + 2))
 
     def jac(x):
         pad[1:-1, 1:-1] = x
@@ -261,7 +267,16 @@ def _newton_direction(coefs, diag, res_arr, h, precond):
             out[frozen] = x[frozen]
         return out
 
-    delta, its = _bicgstab(jac, precond.apply, np.negative(res_arr, out=res_arr))
+    def psolve(r):
+        if frozen is None:
+            return precond.apply(r)
+        src = r.copy()
+        src[frozen] = 0.0
+        x = precond.apply(src)
+        x[frozen] = r[frozen]
+        return x
+
+    delta, its = _bicgstab(jac, psolve, np.negative(res_arr, out=res_arr))
     if frozen is not None:
         delta[frozen] = 0.0
     return delta, its
@@ -314,61 +329,22 @@ def _bicgstab(jac, psolve, b):
     return x, KRYLOV_MAX_ITER
 
 
-def _definite_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a definite matrix by Gauss-Jordan elimination without
-    pivoting, in plain numpy: LAPACK's first call maps about 1 MB of buffers,
-    which would count against the peak memory of small solves."""
-    m = mat.shape[0]
-    aug = np.hstack([mat, np.eye(m)])
-    for k in range(m):
-        aug[k] /= aug[k, k]
-        col = aug[:, k].copy()
-        col[k] = 0.0
-        aug -= np.outer(col, aug[k])
-    return aug[:, m:]
-
-
 class _PoissonPreconditioner:
     """Inverse of scale times the 5-point Dirichlet Laplacian on the n x n
-    interior, by type-1 fast sine transforms.  Frozen nodes are identity
-    rows: a capacitance matrix, the frozen block of the inverse built from
-    one unit-vector solve per frozen node, adds the sources on them that
-    reproduce the input there (Buzbee, Dorr, George & Golub 1971)."""
+    interior, by type-1 fast sine transforms."""
 
-    def __init__(self, n: int, h: float, scale: float, frozen: np.ndarray | None):
+    def __init__(self, n: int, h: float, scale: float):
         from scipy.fft import dstn, idstn  # see the module docstring
         self._dstn, self._idstn = dstn, idstn
-        self.n, self.frozen = n, frozen
+        self.n = n
         lam1 = (2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) - 2.0) / (h * h)
         self.eig = scale * (lam1[:, None] + lam1[None, :])
-        if frozen is None:
-            return
-        held = np.argwhere(frozen)
-        cap = np.empty((len(held), len(held)))
-        unit = np.zeros((n, n))
-        for j, (p, q) in enumerate(held):
-            unit[p, q] = 1.0
-            cap[:, j] = self._poisson(unit)[frozen]
-            unit[p, q] = 0.0
-        self.cap_inv = _definite_inverse(cap)
-
-    def _poisson(self, r):
-        spec = self._dstn(r, type=1)
-        spec /= self.eig
-        return self._idstn(spec, type=1, overwrite_x=True)
 
     def apply(self, r):
         """The preconditioned (n, n) array for the (n, n) array ``r``."""
-        if self.frozen is None:
-            return self._poisson(r)
-        src = r.copy()
-        src[self.frozen] = 0.0
-        x = self._poisson(src)
-        src[:] = 0.0
-        src[self.frozen] = self.cap_inv @ (r[self.frozen] - x[self.frozen])
-        x += self._poisson(src)
-        x[self.frozen] = r[self.frozen]
-        return x
+        spec = self._dstn(r, type=1)
+        spec /= self.eig
+        return self._idstn(spec, type=1, overwrite_x=True)
 
 
 def solve_segregation(
@@ -400,7 +376,7 @@ def solve_segregation(
         raise InputError("species boundary data must have disjoint supports")
     spec = f1.spec
     h, n = spec.h, spec.nx - 2
-    krylov = 0
+    cold = {"krylov_iterations": 0, "krylov_capped": 0}
     u = np.empty((2, spec.nx, spec.nx))
     for i, f in enumerate((f1, f2)):
         if initial is not None:
@@ -408,7 +384,8 @@ def solve_segregation(
         else:  # the uncoupled species, under its own budget
             start = solve_dirichlet(f, "M_minus", SolveConfig(cfg.scheme, cfg.tol), ell=ell)
             u[i] = start.field.values
-            krylov += start.telemetry["krylov_iterations"]
+            for key in cold:
+                cold[key] += start.telemetry[key]
     np.clip(u, 0.0, None, out=u)
     tau = cfg.cfl * h * h / (4.0 * ell.Lam)
     inv_eps = 1.0 / cfg.eps
@@ -423,7 +400,7 @@ def solve_segregation(
         return phi, float(np.abs(phi).max())
 
     # the Poisson preconditioner carries the sign of -M-'s Jacobian
-    precond = _PoissonPreconditioner(n, h, -0.5 * (ell.lam + ell.Lam), None)
+    precond = _PoissonPreconditioner(n, h, -0.5 * (ell.lam + ell.Lam))
     pads = np.zeros((2, n + 2, n + 2))
 
     def direction(w, phi):
@@ -454,8 +431,10 @@ def solve_segregation(
         delta, its = _bicgstab(jac, psolve, np.negative(phi, out=phi))
         return delta.reshape(2, n, n), its
 
-    u, history, stop, k = _newton(u, residual, direction, cfg, spec, nonnegative=True)
-    krylov += k
+    u, history, tel = _newton(u, residual, direction, cfg, spec, nonnegative=True)
+    for key in cold:
+        tel[key] += cold[key]
+    tel["overlap_sup"] = float((u[0] * u[1]).max())
     g1, g2 = GridField(spec, u[0]), GridField(spec, u[1])
     return SolveResult(
         field=(g1, g2),
@@ -463,9 +442,8 @@ def solve_segregation(
         final_residual=history[-1],
         residual_history=np.asarray(history),
         lipschitz_seminorm=lipschitz_seminorm(GridField(spec, u[0] - u[1])),
-        converged=stop == "tol",
-        telemetry={"stop_reason": stop, "krylov_iterations": krylov,
-                   "overlap_sup": float((u[0] * u[1]).max())},
+        converged=tel["stop_reason"] == "tol",
+        telemetry=tel,
     )
 
 
@@ -478,6 +456,7 @@ class SweepEntry:
     converged: bool
     stop_reason: str
     krylov_iterations: int
+    krylov_capped: int
 
 
 @dataclass
@@ -522,7 +501,8 @@ def epsilon_sweep(
         res = solve_dirichlet(boundary, "G_eps", cfg.with_eps(e), pair=pair, initial=warm)
         entries.append(
             SweepEntry(e, res.iterations, res.final_residual, res.lipschitz_seminorm, res.converged,
-                       res.telemetry["stop_reason"], res.telemetry["krylov_iterations"])
+                       res.telemetry["stop_reason"], res.telemetry["krylov_iterations"],
+                       res.telemetry["krylov_capped"])
         )
         ok = ok and res.converged
         fields.append(res.field)

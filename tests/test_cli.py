@@ -185,6 +185,16 @@ def test_sweep_manifest_reports_why_each_solve_stopped(tmp_path):
     entries = read_manifest(str(tmp_path / "s"))["telemetry"]["entries"]
     assert [e["stop_reason"] for e in entries] == ["tol", "tol"]
     assert all(e["krylov_iterations"] > 0 for e in entries)
+    assert [e["krylov_capped"] for e in entries] == [0, 0]
+
+
+def test_fixtures_are_centred_on_an_offset_grid(tmp_path):
+    base = {"grid.nx": 17, "grid.origin": "1,1"}
+    cfg = cli.parse_config(make_config(command="solve", fixture="radial_pucci", **base))
+    assert cli.run(cfg, out_dir=str(tmp_path / "rp"), quiet=True) == 0
+    psi = cli._build_fixture(cli.parse_config(make_config(command="solve", fixture="psi", **base)))
+    peak = np.unravel_index(np.argmax(psi.values), psi.values.shape)
+    assert peak == (8, 8)
 
 
 def test_segregate_manifest_reports_why_it_stopped(tmp_path):
