@@ -25,7 +25,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -393,13 +393,7 @@ def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     with _Timer(man, "sweep"):
         report = epsilon_sweep(datum, cfg["eps_list"], _solve_config(cfg), _operator_pair(cfg))
     _emit_field(man, "field.csv", report.limit)
-    man.data["telemetry"]["entries"] = [
-        {"eps": e.eps, "iterations": e.iterations, "final_residual": e.final_residual,
-         "lipschitz_seminorm": e.lipschitz_seminorm, "converged": e.converged,
-         "stop_reason": e.stop_reason, "krylov_iterations": e.krylov_iterations,
-         "krylov_capped": e.krylov_capped}
-        for e in report.entries
-    ]
+    man.data["telemetry"]["entries"] = [asdict(e) for e in report.entries]
     man.data["telemetry"]["gaps"] = report.gaps
     man.data["verdicts"]["converged"] = "PASS" if report.all_converged else "FAIL"
 

@@ -41,6 +41,7 @@ from pucci_lab import (
     solve_segregation,
     SolveConfig,
 )
+from pucci_lab.operators import _extremal_sides
 
 ELL = Ellipticity(1.0, 2.0)
 PAIR = OperatorPair.pucci(ELL)
@@ -124,63 +125,60 @@ def bump_overlaps():
 
 
 def test_criterion_01_operator_algebra():
+    # the 10,000 matrices and their rotations run through the array kernel;
+    # the first 100 also run through the scalar wrappers, bit-equal to it
     pairs = [OperatorPair.pucci(ELL), OperatorPair.identity(ELL),
              OperatorPair.frobenius(Ellipticity(0.5, 1.5), 0.5)]
     rng = np.random.default_rng(7)
-    mats = [SymMat2(*row) for row in rng.normal(size=(10_000, 3)) * 3.0]
-    psd_rows = rng.normal(size=(10_000, 2, 2))
-    worst = 0.0
+    a, b, c = (rng.normal(size=(10_000, 3)) * 3.0).T
+    v, w = rng.normal(size=(10_000, 2, 2)).transpose(1, 2, 0)
+    pa, pb, pc = v[0] * v[0] + w[0] * w[0], v[0] * v[1] + w[0] * w[1], v[1] * v[1] + w[1] * w[1]
+    ang = rng.uniform(0.0, 2.0 * math.pi, size=100)[:, None]
+    co, si = np.cos(ang), np.sin(ang)
+    ra, rb, rc = (co * co * a[:100] + 2 * co * si * b[:100] + si * si * c[:100],
+                  co * si * (c[:100] - a[:100]) + (co * co - si * si) * b[:100],
+                  si * si * a[:100] - 2 * co * si * b[:100] + co * co * c[:100])
+    worst = rot_worst = 0.0
+    wrappers_agree = True
     for pr in pairs:
         ell = pr.ell
-        for k, m in enumerate(mats):
-            fm = family_extremal(pr.minus, m, "inf")
-            fp = family_extremal(pr.plus, m, "sup")
-            lo = pucci_eval(m, ell, "minus")
-            hi = pucci_eval(m, ell, "plus")
-            tr = m.a + m.c
-            chain = max(lo - fm, fm - tr, tr - fp, fp - hi)
 
-            m2 = SymMat2(2.0 * m.a, 2.0 * m.b, 2.0 * m.c)
-            hom = abs(family_extremal(pr.minus, m2, "inf") - 2.0 * fm)
+        def inf(a, b, c):
+            return _extremal_sides(pr.minus, ell, a, b, c, True, False)[0]
 
-            n = mats[-1 - k]
-            fn = family_extremal(pr.minus, n, "inf")
-            s = SymMat2(m.a + n.a, m.b + n.b, m.c + n.c)
-            superadd = (fm + fn) - family_extremal(pr.minus, s, "inf")
-            subadd = family_extremal(pr.plus, s, "sup") \
-                - (fp + family_extremal(pr.plus, n, "sup"))
+        def sup(a, b, c):
+            return _extremal_sides(pr.plus, ell, a, b, c, False, True)[1]
 
-            v, w = psd_rows[k]
-            p = SymMat2(v[0] * v[0] + w[0] * w[0], v[0] * v[1] + w[0] * w[1],
-                        v[1] * v[1] + w[1] * w[1])
-            mp = SymMat2(m.a + p.a, m.b + p.b, m.c + p.c)
-            inc = family_extremal(pr.minus, mp, "inf") - fm
-            trp = p.a + p.c
-            ellip = max(ell.lam * trp - inc, inc - ell.Lam * trp)
+        fm, fp = inf(a, b, c), sup(a, b, c)
+        lo, hi, _ = _extremal_sides(None, ell, a, b, c, True, True)
+        tr = a + c
+        chain = np.max([lo - fm, fm - tr, tr - fp, fp - hi], axis=0)
+        hom = np.abs(inf(2.0 * a, 2.0 * b, 2.0 * c) - 2.0 * fm)
+        # n = the matrices in reverse order, s = m + n
+        sa, sb, sc = a + a[::-1], b + b[::-1], c + c[::-1]
+        superadd = (fm + fm[::-1]) - inf(sa, sb, sc)
+        subadd = sup(sa, sb, sc) - (fp + fp[::-1])
+        inc = inf(a + pa, b + pb, c + pc) - fm
+        trp = pa + pc
+        ellip = np.maximum(ell.lam * trp - inc, inc - ell.Lam * trp)
+        neg_hi = _extremal_sides(None, ell, -a, -b, -c, False, True)[1]
+        dual = np.abs(neg_hi + lo)
+        worst = max(worst, float(np.max([chain, hom, superadd, subadd, ellip, dual])))
+        rot_worst = max(rot_worst, float(np.abs(inf(ra, rb, rc) - fm[:100]).max()),
+                        float(np.abs(sup(ra, rb, rc) - fp[:100]).max()))
+        for k in range(100):
+            m = SymMat2(a[k], b[k], c[k])
+            wrappers_agree &= (family_extremal(pr.minus, m, "inf") == fm[k]
+                               and family_extremal(pr.plus, m, "sup") == fp[k]
+                               and pucci_eval(m, ell, "minus") == lo[k]
+                               and pucci_eval(m, ell, "plus") == hi[k]
+                               and pucci_eval(SymMat2(-a[k], -b[k], -c[k]), ell, "plus")
+                               == neg_hi[k])
 
-            neg = SymMat2(-m.a, -m.b, -m.c)
-            dual = abs(pucci_eval(neg, ell, "plus") + lo)
-
-            worst = max(worst, chain, hom, superadd, subadd, ellip, dual)
-
-    rot_worst = 0.0
-    for ang in rng.uniform(0.0, 2.0 * math.pi, size=100):
-        c, s = math.cos(ang), math.sin(ang)
-        for pr in pairs:
-            for m in mats[:100]:
-                rm = SymMat2(c * c * m.a + 2 * c * s * m.b + s * s * m.c,
-                             c * s * (m.c - m.a) + (c * c - s * s) * m.b,
-                             s * s * m.a - 2 * c * s * m.b + c * c * m.c)
-                rot_worst = max(
-                    rot_worst,
-                    abs(family_extremal(pr.minus, rm, "inf")
-                        - family_extremal(pr.minus, m, "inf")),
-                    abs(family_extremal(pr.plus, rm, "sup")
-                        - family_extremal(pr.plus, m, "sup")))
-
-    ok = worst <= 1e-12 and rot_worst <= 1e-12
+    ok = worst <= 1e-12 and rot_worst <= 1e-12 and wrappers_agree
     report(1, "operator algebra", ok,
            f"worst algebra defect {worst:.2e}, worst rotation defect {rot_worst:.2e}")
+    assert wrappers_agree
     assert worst <= 1e-12
     assert rot_worst <= 1e-12
 

@@ -92,6 +92,20 @@ def test_frozen_nodes_held_exactly():
     assert np.array_equal(res.field.values[frozen], datum.values[frozen])
 
 
+def _captured_preconditioner(monkeypatch, pre, held):
+    """The preconditioner that ``_newton_direction`` hands to BiCGSTAB for
+    the ``held`` mask, captured by standing in for ``_bicgstab``."""
+    seen = []
+
+    def capture(jac, psolve, b):
+        seen.append(psolve)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(solver, "_bicgstab", capture)
+    _newton_direction(None, np.zeros(held.shape), pre, held)
+    return seen[0]
+
+
 def test_frozen_nodes_pass_through_the_preconditioner(monkeypatch):
     # identity rows on a frozen disc: the Newton step's preconditioner returns
     # r there, and elsewhere the plain sine-transform inverse of (lam + Lam)/2
@@ -101,16 +115,9 @@ def test_frozen_nodes_pass_through_the_preconditioner(monkeypatch):
     frozen = (np.hypot(X - 0.4, Y - 0.55) < 0.15)[1:-1, 1:-1]
     scale = 1.5
     pre = _PoissonPreconditioner(31, g.h, scale)
-    seen = []
-
-    def capture(jac, psolve, b):  # BiCGSTAB's stand-in: keeps the preconditioner
-        seen.append(psolve)
-        return np.zeros_like(b), 0
-
-    monkeypatch.setattr(solver, "_bicgstab", capture)
-    _newton_direction(None, None, np.zeros((31, 31)), g.h, pre, frozen)
+    psolve = _captured_preconditioner(monkeypatch, pre, frozen)
     r = np.random.default_rng(7).standard_normal((31, 31))
-    x = seen[0](r)
+    x = psolve(r)
     assert frozen.sum() > 50
     assert np.array_equal(x[frozen], r[frozen])
     src = np.where(frozen, 0.0, r)
@@ -121,6 +128,23 @@ def test_frozen_nodes_pass_through_the_preconditioner(monkeypatch):
     lap = (pad[2:, 1:-1] + pad[:-2, 1:-1] + pad[1:-1, 2:] + pad[1:-1, :-2]
            - 4.0 * pad[1:-1, 1:-1]) / g.h ** 2
     assert np.abs(scale * lap - src).max() <= 1e-10 * np.abs(r).max()
+
+
+def test_held_rows_of_a_stack_pass_through_the_preconditioner(monkeypatch):
+    # the segregation layout: a (2, n, n) stack with a different held set per
+    # species; each block is inverted on its own
+    n, h = 31, 1.0 / 32
+    rng = np.random.default_rng(11)
+    held = rng.random((2, n, n)) < 0.3
+    pre = _PoissonPreconditioner(n, h, -1.5)
+    psolve = _captured_preconditioner(monkeypatch, pre, held)
+    r = rng.standard_normal((2, n, n))
+    x = psolve(r)
+    assert np.array_equal(x[held], r[held])
+    plain = pre.apply(np.where(held, 0.0, r))
+    assert np.array_equal(x[~held], plain[~held])
+    for i in (0, 1):
+        assert np.array_equal(plain[i], pre.apply(np.where(held[i], 0.0, r[i])))
 
 
 def _scipy_modules_in_fresh_interpreter(code: str):
@@ -372,15 +396,44 @@ def test_segregation_budget_returns_its_start():
 
 
 def test_segregation_stall_is_reported():
-    # cold at eps = 1e-5 the backtracking runs down to its smallest step;
-    # warm continuation along an eps ladder reaches this eps
-    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
-    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=1e-5), ell=SEG_ELL)
+    # a tolerance below the roundoff of Phi cannot be met: the solve reaches
+    # roundoff, then the backtracking finds no step that lowers it
+    f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-300, cfl=1.0, eps=1e-3), ell=SEG_ELL)
     assert not res.converged and res.telemetry["stop_reason"] == "stall"
-    assert res.telemetry["krylov_capped"] >= 1  # its last two BiCGSTAB solves hit the cap
     assert np.all(np.diff(res.residual_history) < 0.0)
-    assert res.final_residual == res.residual_history[-1]
-    _complementarity(res, f1, f2, 1e-5)
+    assert res.final_residual == res.residual_history[-1] <= 1e-10
+    _complementarity(res, f1, f2, 1e-3)
+
+
+def test_segregation_counts_capped_krylov_solves(monkeypatch):
+    # every Newton step whose BiCGSTAB ends at the cap is counted, those of
+    # the cold start's scalar solves included; a cap of 10 makes most do so
+    monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 10)
+    counts = []
+    bicgstab = solver._bicgstab
+
+    def spy(jac, psolve, b):
+        x, k = bicgstab(jac, psolve, b)
+        counts.append(k)
+        return x, k
+
+    monkeypatch.setattr(solver, "_bicgstab", spy)
+    f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=1e-3), ell=SEG_ELL)
+    assert res.telemetry["krylov_capped"] >= 1
+    assert res.telemetry["krylov_capped"] == counts.count(10)
+    assert res.telemetry["krylov_iterations"] == sum(counts)
+
+
+def test_segregation_cold_start_converges_at_small_eps():
+    # active rows held as identity rows: this cold start stalled on its first
+    # step while they went through the Poisson inverse (BiCGSTAB at its cap)
+    f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=1.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=1e-5), ell=SEG_ELL)
+    assert res.converged and res.telemetry["stop_reason"] == "tol"
+    assert res.telemetry["krylov_capped"] == 0
+    assert _complementarity(res, f1, f2, 1e-5) <= 2e-8
 
 
 def _march_step(u, h, eps, tau):
