@@ -160,10 +160,11 @@ def _radial_exponent(fam: MatrixFamily) -> float:
 
 def _annulus_power_law(g: float, ratio):
     """(ratio^g - 1) / (2^g - 1) at ratio = r / rho: 1 on rho = r/2, 0 on
-    rho = r, and log2(ratio) at g = 0."""
+    rho = r, and log2(ratio) at g = 0.  By expm1, both differences keep their
+    relative precision as g -> 0."""
     if g == 0.0:
         return np.log(ratio) / math.log(2.0)
-    return (ratio ** g - 1.0) / (2.0 ** g - 1.0)
+    return np.expm1(g * np.log(ratio)) / math.expm1(g * math.log(2.0))
 
 
 def radial_profile(fam: MatrixFamily, r: float = 0.4, samples: int = 257) -> RadialProfile:
@@ -176,7 +177,7 @@ def radial_profile(fam: MatrixFamily, r: float = 0.4, samples: int = 257) -> Rad
     g = _radial_exponent(fam)
     rho = np.linspace(r / 2.0, r, samples)
     phi = _annulus_power_law(g, r / rho)
-    sigma = g / (2.0 ** g - 1.0) if g != 0.0 else 1.0 / math.log(2.0)
+    sigma = g / math.expm1(g * math.log(2.0)) if g != 0.0 else 1.0 / math.log(2.0)
     return RadialProfile(rho, phi, sigma)
 
 

@@ -19,6 +19,7 @@ configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -55,7 +56,7 @@ from .operators import (
     MatrixFamily,
     OperatorPair,
     SchemeSpec,
-    _extremal_sides,
+    _extremal_side,
     residual_interior,
 )
 from .solver import (
@@ -406,8 +407,20 @@ def _diagnose_field(cfg: RunConfig) -> GridField:
     return res.field
 
 
+@contextlib.contextmanager
+def _or_degenerate(rows: list, verdicts: dict, name: str, metric: str):
+    """Run one diagnostic's block; if it raises ValueError, its verdict
+    ``name`` is DEGENERATE and its ``metric`` row NaN."""
+    try:
+        yield
+    except ValueError:
+        verdicts[name] = "DEGENERATE"
+        rows.append((metric, math.nan, "DEGENERATE"))
+
+
 def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
     rows: list[tuple[str, float, str]] = []
+    verdicts = man.data["verdicts"]
     with _Timer(man, "field"):
         u = _diagnose_field(cfg)
     spec = u.spec
@@ -420,55 +433,44 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
         # the bound is one cell above it (acceptance criterion 11's 3h)
         bc_v = "DEGENERATE" if math.isnan(bc) else ("PASS" if bc <= 3.0 * spec.h else "FAIL")
         rows.append(("boundary_consistency", bc, bc_v))
-        man.data["verdicts"]["boundary_consistency"] = bc_v
+        verdicts["boundary_consistency"] = bc_v
 
         if curve.is_empty:
             for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone"):
-                man.data["verdicts"][name] = "DEGENERATE"
-                rows.append((name, math.nan, "DEGENERATE"))
+                with _or_degenerate(rows, verdicts, name, name):
+                    raise ValueError("no zero set")
         else:
             x0 = cfg["x0"] if cfg["x0"] is not None else \
                 tuple(curve.vertices[curve.nearest_vertex(_grid_center(spec))])
             radii = cfg["radii"]
 
-            try:
+            with _or_degenerate(rows, verdicts, "regular_point", "growth_constant_M"):
                 rec = classify_regular(u, x0, radii)
                 man.data["telemetry"].update(M=rec.M, c_lower=rec.c_lower,
                                              C_upper=rec.C_upper,
                                              zero_density=rec.zero_density)
-                reg_v = "PASS" if rec.is_regular else "FAIL"
-                rows.append(("growth_constant_M", rec.M, reg_v))
-            except ValueError:
-                reg_v = "DEGENERATE"
-                rows.append(("growth_constant_M", math.nan, reg_v))
-            man.data["verdicts"]["regular_point"] = reg_v
+                verdicts["regular_point"] = "PASS" if rec.is_regular else "FAIL"
+                rows.append(("growth_constant_M", rec.M, verdicts["regular_point"]))
 
-            try:
+            with _or_degenerate(rows, verdicts, "jr_monotone", "jr_constancy_defect"):
                 series, sv = j_series_check(u, x0, radii)
                 series_to_csv(series, man.emit("jr_series.csv"))
                 rows.append(("jr_constancy_defect", sv.constancy_defect, sv.verdict))
-                man.data["verdicts"]["jr_monotone"] = sv.verdict
-            except ValueError:
-                man.data["verdicts"]["jr_monotone"] = "DEGENERATE"
-                rows.append(("jr_constancy_defect", math.nan, "DEGENERATE"))
+                verdicts["jr_monotone"] = sv.verdict
 
             fit = None
-            try:
+            with _or_degenerate(rows, verdicts, "alpha_beta", "alpha_beta"):
                 fit = fit_two_plane(u, x0, tuple(reversed(radii)))
                 rows.append(("fit_alpha", fit.alpha, ""))
                 rows.append(("fit_beta", fit.beta, ""))
                 rows.append(("fit_residual", fit.residual, ""))
-                ab = check_alpha_beta(fit, cfg["rel_tol"])
-                rows.append(("alpha_beta", abs(fit.alpha - fit.beta), ab))
-                man.data["verdicts"]["alpha_beta"] = ab
-            except ValueError:
-                man.data["verdicts"]["alpha_beta"] = "DEGENERATE"
-                rows.append(("alpha_beta", math.nan, "DEGENERATE"))
+                verdicts["alpha_beta"] = check_alpha_beta(fit, cfg["rel_tol"])
+                rows.append(("alpha_beta", abs(fit.alpha - fit.beta), verdicts["alpha_beta"]))
 
             flat = flatness_measure(u, x0, min(radii))
             rows.append(("flatness", flat, ""))
 
-            try:
+            with _or_degenerate(rows, verdicts, "cone_monotone", "epsilon_monotonicity"):
                 if cfg["cone.angle"] is not None:
                     cone = ConeSpec.from_degrees(cfg["cone.angle"], cfg["cone.theta"])
                 elif fit is not None:
@@ -481,12 +483,8 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
                 half = 0.4 * margin
                 em = epsilon_monotonicity(
                     u, cone, (x0[0] - half, x0[0] + half, x0[1] - half, x0[1] + half))
-                em_v = "PASS" if math.isfinite(em) else "FAIL"
-                rows.append(("epsilon_monotonicity", em, em_v))
-                man.data["verdicts"]["cone_monotone"] = em_v
-            except ValueError:
-                man.data["verdicts"]["cone_monotone"] = "DEGENERATE"
-                rows.append(("epsilon_monotonicity", math.nan, "DEGENERATE"))
+                verdicts["cone_monotone"] = "PASS" if math.isfinite(em) else "FAIL"
+                rows.append(("epsilon_monotonicity", em, verdicts["cone_monotone"]))
 
     with open(man.emit("diagnostics.csv"), "w") as fh:
         fh.write("metric,value,verdict\n")
@@ -507,19 +505,19 @@ def _verify_operators(rng, pairs=None) -> bool:
     worst = 0.0
     for pr in pairs:
         ell = pr.ell
-        fm = _extremal_sides(pr.minus, ell, a, b, c, True, False)[0]
-        fp = _extremal_sides(pr.plus, ell, a, b, c, False, True)[1]
-        lo, hi, _ = _extremal_sides(None, ell, a, b, c, True, True)
+        fm = _extremal_side(pr.minus, ell, a, b, c, False)[0]
+        fp = _extremal_side(pr.plus, ell, a, b, c, True)[0]
+        lo, hi = (_extremal_side(None, ell, a, b, c, side)[0] for side in (False, True))
         tr = a + c
-        dual = _extremal_sides(None, ell, -a, -b, -c, False, True)[1] + lo
-        hom = _extremal_sides(pr.minus, ell, 2 * a, 2 * b, 2 * c, True, False)[0] - 2.0 * fm
+        dual = _extremal_side(None, ell, -a, -b, -c, True)[0] + lo
+        hom = _extremal_side(pr.minus, ell, 2 * a, 2 * b, 2 * c, False)[0] - 2.0 * fm
         ang = rng.uniform(0.0, 2.0 * math.pi, size=20)[:, None]
         co, si = np.cos(ang), np.sin(ang)
         m_a, m_b, m_c = a[:50], b[:50], c[:50]
-        rot = _extremal_sides(pr.minus, ell,
-                              co * co * m_a + 2 * co * si * m_b + si * si * m_c,
-                              co * si * (m_c - m_a) + (co * co - si * si) * m_b,
-                              si * si * m_a - 2 * co * si * m_b + co * co * m_c, True, False)[0]
+        rot = _extremal_side(pr.minus, ell,
+                             co * co * m_a + 2 * co * si * m_b + si * si * m_c,
+                             co * si * (m_c - m_a) + (co * co - si * si) * m_b,
+                             si * si * m_a - 2 * co * si * m_b + co * co * m_c, False)[0]
         worst = max(worst, float(np.max([lo - fm, fm - tr, tr - fp, fp - hi])),
                     float(np.abs(dual).max()), float(np.abs(hom).max()),
                     float(np.abs(rot - fm[:50]).max()))

@@ -39,12 +39,14 @@ on E and W at 67.5), so the scheme is not monotone.
 
 Both schemes reduce to a list of discrete Hessians, the frames: the central
 Hessian, or the K directional pairs (d1, d2) taken as diag(d1, d2).
-One kernel per family gives inf and sup of tr(A M) on each frame, and the
-residual takes the min (inf side) or max (sup side) over the frames.  On
-request the kernel also returns the matrix attaining each side, the policy;
-``linearize`` turns it into the Jacobian of the residual at that policy, as
-coefficients on the second differences, and ``jacobian_apply`` applies it
-matrix-free.
+One kernel per family gives one side of tr(A M) on a frame, the inf or the
+sup, and the residual takes the min (inf side) or max (sup side) over the
+frames.  M- and F- are an inf side, M+ and F+ a sup side; G_eps takes the
+inf side of its minus family and the sup side of its plus family and blends
+them by H_eps.  On request the kernel also returns the matrix attaining its
+side, the policy; ``linearize`` turns it into the Jacobian of the residual at
+that policy, as coefficients on the second differences (three on the central
+scheme, four on the wide one), and ``jacobian_apply`` applies it matrix-free.
 """
 
 from __future__ import annotations
@@ -111,8 +113,7 @@ def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
     """Pucci extremal value M-(m) (branch="minus") or M+(m) (branch="plus")."""
     if branch not in ("minus", "plus"):
         raise ConfigurationError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    lo, hi, _ = _extremal_sides(None, ell, m.a, m.b, m.c, branch == "minus", branch == "plus")
-    return float(lo if branch == "minus" else hi)
+    return float(_extremal_side(None, ell, m.a, m.b, m.c, branch == "plus")[0])
 
 
 @dataclass(frozen=True)
@@ -163,67 +164,50 @@ def family_extremal(fam: MatrixFamily, m: SymMat2, mode: str) -> float:
     """inf (mode="inf") or sup (mode="sup") of tr(A m) over the family."""
     if mode not in ("inf", "sup"):
         raise ConfigurationError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    lo, hi, _ = _extremal_sides(fam, fam.ell, m.a, m.b, m.c, mode == "inf", mode == "sup")
-    return float(lo if mode == "inf" else hi)
+    return float(_extremal_side(fam, fam.ell, m.a, m.b, m.c, mode == "sup")[0])
 
 
-def _extremal_sides(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, inf: bool, sup: bool,
-                    policy: bool = False, hh=None):
-    """(inf, sup, active) of tr(A M) over the family, entrywise for M = [[a, b], [b, c]].
+def _extremal_side(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, sup: bool,
+                   policy: bool = False):
+    """(value, active): inf (``sup`` False) or sup of tr(A M) over the family,
+    entrywise for M = [[a, b], [b, c]].
 
     ``fam`` None is the full Pucci class of ``ell``; otherwise ``ell`` is
-    ``fam.ell``.  Only the flagged sides are computed, and a side left
-    unflagged may come back as None.  ``active`` is None unless ``policy``:
-    then it is the pair (A_inf, A_sup) of matrices attaining each flagged side,
-    as (A11, A12, A22) entries, or, when the weights ``hh`` are given (both
-    sides flagged), the single blend hh A_inf + (1 - hh) A_sup.
+    ``fam.ell``.  ``active`` is None unless ``policy``: then it is the matrix
+    attaining the side, as (A11, A12, A22) entries.
     """
     kind = "full_pucci" if fam is None else fam.kind
     if kind == "full_pucci":
+        # A = w1 P1 + w2 P2 over the eigenprojectors, w = w_up on a positive
+        # eigenvalue and w_down elsewhere
+        w_up, w_down = (ell.Lam, ell.lam) if sup else (ell.lam, ell.Lam)
         e1, e2 = _eig2_arrays(a, b, c)
         pos = np.maximum(e1, 0.0) + np.maximum(e2, 0.0)
         neg = np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
         up1, up2 = (e1 > 0.0, e2 > 0.0) if policy else (None, None)
         del e1, e2  # fewer live temporaries: fewer page faults on large grids
-        lo = ell.lam * pos + ell.Lam * neg if inf else None
-        hi = ell.Lam * pos + ell.lam * neg if sup else None
+        value = w_up * pos + w_down * neg
         del pos, neg
-        if not policy:
-            return lo, hi, None
-        # A = w1 P1 + w2 P2 over the eigenprojectors, w = lam or Lam by the
-        # sign of its eigenvalue; blending by hh blends the weights
-        if hh is not None:
-            return lo, hi, _pucci_active(a, b, c, up1, up2, ell.Lam + hh * (ell.lam - ell.Lam),
-                                         ell.lam + hh * (ell.Lam - ell.lam))
-        act = (_pucci_active(a, b, c, up1, up2, ell.lam, ell.Lam) if inf else None,
-               _pucci_active(a, b, c, up1, up2, ell.Lam, ell.lam) if sup else None)
-    elif kind == "identity_only":
-        lo = hi = a + c
-        act = ((1.0, 0.0, 1.0),) * 2
-    elif kind == "frobenius_ball":
-        tr = a + c
+        return value, _pucci_active(a, b, c, up1, up2, w_up, w_down) if policy else None
+    if kind == "identity_only":
+        return a + c, (1.0, 0.0, 1.0)
+    if kind == "frobenius_ball":
+        # A = I + r M / ||M||_F with r = -r0 (inf) or r0 (sup), and I at M = 0
+        r = fam.r0 if sup else -fam.r0
         nrm = np.sqrt(a * a + 2.0 * b * b + c * c)
-        lo, hi = tr - fam.r0 * nrm if inf else None, tr + fam.r0 * nrm if sup else None
+        value = (a + c) + r * nrm
         if not policy:
-            return lo, hi, None
-        # A = I -+ r0 M / ||M||_F, and I at M = 0
-        k = np.divide(fam.r0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
-        act = ((1.0 - k * a, -k * b, 1.0 - k * c) if inf else None,
-               (1.0 + k * a, k * b, 1.0 + k * c) if sup else None)
-    else:
-        # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
-        vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
-        lo, hi = vals.min(axis=0) if inf else None, vals.max(axis=0) if sup else None
-        if not policy:
-            return lo, hi, None
-        entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
-        act = (tuple(entries[vals.argmin(axis=0)].transpose(2, 0, 1)) if inf else None,
-               tuple(entries[vals.argmax(axis=0)].transpose(2, 0, 1)) if sup else None)
+            return value, None
+        k = np.divide(r, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
+        return value, (1.0 + k * a, k * b, 1.0 + k * c)
+    # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
+    vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
+    value = vals.max(axis=0) if sup else vals.min(axis=0)
     if not policy:
-        return lo, hi, None
-    if hh is not None:
-        return lo, hi, tuple(hh * x + (1.0 - hh) * y for x, y in zip(*act))
-    return lo, hi, act
+        return value, None
+    entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
+    pick = vals.argmax(axis=0) if sup else vals.argmin(axis=0)
+    return value, tuple(entries[pick].transpose(2, 0, 1))
 
 
 def _pucci_active(a, b, c, up1, up2, w_up, w_down):
@@ -384,42 +368,33 @@ def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
 
 
 def _frame_coefs(act, rot):
-    """Coefficients of tr(A frame) on (u_xx, u_yy, u_xy+, u_xy-) for A = (A11, A12, A22)."""
+    """Coefficients of tr(A frame), A = (A11, A12, A22), as ``linearize``
+    returns them: (k_xx, k_yy, k_xy) centrally, (k_xx, k_yy, k_p, k_m) wide."""
     a11, a12, a22 = act
-    if rot is None:  # u_xy = (u_xy+ + u_xy-) / 2
-        return a11, a22, a12, a12
+    if rot is None:  # 2 A12 u_xy = A12 (u_xy+ + u_xy-)
+        return a11, a22, a12
     c, s = rot  # the frame is diagonal: A12 meets a zero
     return (c * c * a11 + s * s * a22, s * s * a11 + c * c * a22,
             2.0 * c * s * a11, -2.0 * c * s * a22)
 
 
-def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, inf: bool, sup: bool,
+def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, sup: bool,
                  policy: bool = False):
-    """(min over the frames of the inf side, max over them of the sup side,
-    and with ``policy`` each side's coefficients (see ``_frame_coefs``) in
-    the frame that attains it)."""
+    """(value, coefs): the min over the frames of the inf side (``sup``
+    False) or the max of the sup side, and with ``policy`` the coefficients
+    (``_frame_coefs``) of the matrix and frame attaining it."""
     if fam is not None and fam.kind == "finite_set" and len(frames) > 1:
         raise ConfigurationError("finite_set families are not rotation closed; "
                                  "wide stencils are unsupported")
-    lo = hi = k_lo = k_hi = None
+    value = coefs = None
     for a, b, c, rot in frames:
-        f_lo, f_hi, act = _extremal_sides(fam, ell, a, b, c, inf, sup, policy)
-        if inf:
-            if policy:
-                k_lo = _attaining(k_lo, act[0], rot, lo is None or f_lo < lo)
-            lo = f_lo if lo is None else np.minimum(lo, f_lo)
-        if sup:
-            if policy:
-                k_hi = _attaining(k_hi, act[1], rot, hi is None or f_hi > hi)
-            hi = f_hi if hi is None else np.maximum(hi, f_hi)
-    return lo, hi, k_lo, k_hi
-
-
-def _attaining(k_old, act, rot, take):
-    """The coefficients of ``act`` in the frame ``rot`` where ``take``, the
-    old ones elsewhere."""
-    new = _frame_coefs(act, rot)
-    return new if k_old is None else tuple(np.where(take, x, y) for x, y in zip(new, k_old))
+        f, act = _extremal_side(fam, ell, a, b, c, sup, policy)
+        if policy:
+            new = _frame_coefs(act, rot)
+            coefs = new if value is None else tuple(
+                np.where(f > value if sup else f < value, x, y) for x, y in zip(new, coefs))
+        value = f if value is None else (np.maximum if sup else np.minimum)(value, f)
+    return value, coefs
 
 
 def residual_interior(
@@ -448,10 +423,11 @@ def linearize(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
 
     The policy holds each node's attaining matrix (and frame).  Its Jacobian
     applied to an increment d is k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy-
-    + diag d, with ``coefs`` = (k_xx, k_yy, k_p, k_m) on the central second
-    differences and the 7-point mixed differences u_xy+- of the module
-    docstring; ``diag`` is H'(u) (F- - F+) for G_eps and None otherwise.
-    ``jacobian_apply`` evaluates it.
+    + diag d, on the central second differences and the 7-point mixed
+    differences u_xy+- of the module docstring.  ``coefs`` is (k_xx, k_yy,
+    k_p, k_m) on the wide scheme and (k_xx, k_yy, k_xy) with k_p = k_m = k_xy
+    on the central scheme and for the laplacian; ``diag`` is H'(u) (F- - F+)
+    for G_eps and None otherwise.  ``jacobian_apply`` evaluates it.
     """
     return _residual(u, h, op, scheme, pair, ell, eps, True)
 
@@ -460,40 +436,30 @@ def _residual(u, h, op, scheme, pair, ell, eps, policy):
     pair, ell = _resolve(op, pair, ell, eps)
     uxx, uyy, uxy = central_hessian(u, h)
     if op == "laplacian":
-        return uxx + uyy, (1.0, 1.0, 0.0, 0.0), None
+        return uxx + uyy, (1.0, 1.0, 0.0), None
     frames = _frames(u, h, scheme, uxx, uyy, uxy)
     del uxx, uyy, uxy
-    if op in ("M_minus", "F_minus"):
-        lo, _, k_lo, _ = _over_frames(frames, pair.minus if op == "F_minus" else None,
-                                      ell, True, False, policy)
-        return lo, k_lo, None
-    if op in ("M_plus", "F_plus"):
-        _, hi, _, k_hi = _over_frames(frames, pair.plus if op == "F_plus" else None,
-                                      ell, False, True, policy)
-        return hi, k_hi, None
-    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
-    coefs = diag = None
-    if pair.minus == pair.plus and len(frames) == 1:
-        # one family on both sides takes both from the same eigenvalues, and
-        # one frame lets the policy blend its weights there
-        a, b, c, rot = frames[0]
-        fm, fp, act = _extremal_sides(pair.minus, ell, a, b, c, True, True, policy, hh)
-        coefs = None if act is None else _frame_coefs(act, rot)
-        del a, b, c, act
-    elif pair.minus == pair.plus:
-        fm, fp, k_lo, k_hi = _over_frames(frames, pair.minus, ell, True, True, policy)
-    else:
-        fm, _, k_lo, _ = _over_frames(frames, pair.minus, ell, True, False, policy)
-        _, fp, _, k_hi = _over_frames(frames, pair.plus, ell, False, True, policy)
+    if op != "G_eps":
+        sup = op.endswith("plus")
+        fam = None if op[0] == "M" else pair.plus if sup else pair.minus
+        return (*_over_frames(frames, fam, ell, sup, policy), None)
+    fm, k_m = _over_frames(frames, pair.minus, ell, False, policy)
+    fp, k_p = _over_frames(frames, pair.plus, ell, True, policy)
     del frames
-    value = hh * fm + (1.0 - hh) * fp
-    if policy:
-        if coefs is None:
-            coefs = tuple(hh * x + (1.0 - hh) * y for x, y in zip(k_lo, k_hi))
-        # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
-        s = np.clip((u[1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
-        diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
-    return value, coefs, diag
+    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
+    gg = 1.0 - hh
+    value = hh * fm + gg * fp
+    if not policy:
+        return value, None, None
+    # hh k_m + gg k_p, blended in k_m's arrays (the identity's are scalars)
+    coefs = []
+    for x, y in zip(k_m, k_p):
+        y = gg * y
+        coefs.append(hh * x + y if np.isscalar(x) else np.add(np.multiply(x, hh, out=x), y, out=x))
+    # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
+    s = np.clip((u[1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
+    diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
+    return value, tuple(coefs), diag
 
 
 def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
@@ -501,18 +467,20 @@ def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
     a full grid array, zero on the ring; returns the interior block.
 
     By the definitions of u_xy+- it is w_x d_xx + w_y d_yy + (k_p / 2) D+ -
-    (k_m / 2) D- (+ diag d) with w = k + (k_m - k_p) / 2 on both axes; the
-    central scheme's k_p = k_m keeps only the four-corner part of D+ - D-.
+    (k_m / 2) D- (+ diag d) with w = k + (k_m - k_p) / 2 on both axes.  The
+    central scheme's three coefficients are k_p = k_m = k_xy, which keeps
+    only the four-corner part of D+ - D-.
     """
-    k_xx, k_yy, k_p, k_m = coefs
+    k_xx, k_yy, *k_mixed = coefs
     mid = d[1:-1, 1:-1]
     out = d[2:, 2:] + d[:-2, :-2]
     t = np.empty_like(mid)
-    if k_p is k_m:
+    if len(k_mixed) == 1:
         out -= d[:-2, 2:]
         out -= d[2:, :-2]
-        out *= k_p
+        out *= k_mixed[0]
     else:
+        k_p, k_m = k_mixed
         shift = 0.5 * (k_m - k_p)
         k_xx, k_yy = k_xx + shift, k_yy + shift
         out -= 2.0 * mid

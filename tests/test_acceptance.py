@@ -41,7 +41,7 @@ from pucci_lab import (
     solve_segregation,
     SolveConfig,
 )
-from pucci_lab.operators import _extremal_sides
+from pucci_lab.operators import _extremal_side
 
 ELL = Ellipticity(1.0, 2.0)
 PAIR = OperatorPair.pucci(ELL)
@@ -144,13 +144,13 @@ def test_criterion_01_operator_algebra():
         ell = pr.ell
 
         def inf(a, b, c):
-            return _extremal_sides(pr.minus, ell, a, b, c, True, False)[0]
+            return _extremal_side(pr.minus, ell, a, b, c, False)[0]
 
         def sup(a, b, c):
-            return _extremal_sides(pr.plus, ell, a, b, c, False, True)[1]
+            return _extremal_side(pr.plus, ell, a, b, c, True)[0]
 
         fm, fp = inf(a, b, c), sup(a, b, c)
-        lo, hi, _ = _extremal_sides(None, ell, a, b, c, True, True)
+        lo, hi = (_extremal_side(None, ell, a, b, c, side)[0] for side in (False, True))
         tr = a + c
         chain = np.max([lo - fm, fm - tr, tr - fp, fp - hi], axis=0)
         hom = np.abs(inf(2.0 * a, 2.0 * b, 2.0 * c) - 2.0 * fm)
@@ -161,7 +161,7 @@ def test_criterion_01_operator_algebra():
         inc = inf(a + pa, b + pb, c + pc) - fm
         trp = pa + pc
         ellip = np.maximum(ell.lam * trp - inc, inc - ell.Lam * trp)
-        neg_hi = _extremal_sides(None, ell, -a, -b, -c, False, True)[1]
+        neg_hi = _extremal_side(None, ell, -a, -b, -c, True)[0]
         dual = np.abs(neg_hi + lo)
         worst = max(worst, float(np.max([chain, hom, superadd, subadd, ellip, dual])))
         rot_worst = max(rot_worst, float(np.abs(inf(ra, rb, rc) - fm[:100]).max()),

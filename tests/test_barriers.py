@@ -196,6 +196,15 @@ def null_residual(fam, rho, phi):
                for a, t in zip(d2, d1 / rho[1:-1]))
 
 
+# For phi = rho^-g the O(dr^2) error of F-(diag(phi'', phi'/rho)) is
+# proportional to 2 - k, whatever the family, so at k = 2 only roundoff is
+# left and it grows as the spacing shrinks.  At |k - 2| >= NULL_SLOPE_GAP the
+# leading term at 513 samples is above 300 eps / dr^2, some 150 times the
+# roundoff of the second difference (one to two eps / dr^2 measured), so it
+# decides the fall.
+NULL_SLOPE_GAP = 0.01
+
+
 @settings(max_examples=25, deadline=None)
 @given(fam_k=radial_families, r=st.floats(0.1, 0.5))
 def test_radial_profile_is_null_by_the_operator_kernel(fam_k, r):
@@ -205,7 +214,8 @@ def test_radial_profile_is_null_by_the_operator_kernel(fam_k, r):
     for n in (257, 513):
         prof = radial_profile(fam, r=r, samples=n)
         sups.append(null_residual(fam, prof.rho_samples, prof.phi_values))
-    assert sups[0] >= 3.0 * sups[1]
+    if abs(k - 2.0) >= NULL_SLOPE_GAP:
+        assert sups[0] >= 3.0 * sups[1]
 
     # control: a power law whose null slope is 1% off converges to a
     # nonzero residual, which does not fall by that factor
@@ -215,6 +225,21 @@ def test_radial_profile_is_null_by_the_operator_kernel(fam_k, r):
         rho = np.linspace(r / 2.0, r, n)
         bad.append(null_residual(fam, rho, ((r / rho) ** g - 1.0) / (2.0 ** g - 1.0)))
     assert bad[0] < 3.0 * bad[1]
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5])
+def test_radial_profile_at_null_slope_two_is_exact_to_roundoff(r):
+    # Lam = 2 lam gives k = 2: the O(dr^2) errors cancel, and what is left is
+    # the rounding of the samples (|phi| <= 1) in the second difference
+    fam = MatrixFamily("full_pucci", Ellipticity(0.5, 1.0))
+    for n in (257, 513):
+        prof = radial_profile(fam, r=r, samples=n)
+        rho = prof.rho_samples
+        roundoff = 8.0 * np.finfo(float).eps / (rho[1] - rho[0]) ** 2
+        assert null_residual(fam, rho, prof.phi_values) <= roundoff
+        # control: the power law with a 1%-off null slope, g = 1.02
+        bad = ((r / rho) ** 1.02 - 1.0) / (2.0 ** 1.02 - 1.0)
+        assert null_residual(fam, rho, bad) > roundoff
 
 
 def test_sandwich_check_reports_violations():

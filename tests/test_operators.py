@@ -506,3 +506,13 @@ def test_linearization_matches_residual(op, name, scheme, seed):
     bend = np.abs(plus - 2.0 * res + minus)
     err = np.abs((plus - minus) / (2.0 * t) - jd)
     assert np.all(err <= 1e-6 * np.abs(jd).max() + bend / (2.0 * t))
+    # the central scheme and the laplacian give (k_xx, k_yy, k_xy), the wide
+    # scheme (k_xx, k_yy, k_p, k_m); the four-corner path taken for three is
+    # the general one at k_p = k_m = k_xy, on the policy's and on random
+    # coefficients
+    assert len(coefs) == (3 if scheme == "central" or op == "laplacian" else 4)
+    if len(coefs) == 3:
+        for k in (coefs, tuple(rng.standard_normal((3, 15, 15)))):
+            general = jacobian_apply((*k, np.copy(k[2])), diag, d, g.h)
+            four = jacobian_apply(k, diag, d, g.h)
+            assert np.abs(four - general).max() <= 1e-12 * np.abs(general).max()
