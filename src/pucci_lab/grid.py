@@ -277,4 +277,5 @@ def field_from_csv(path) -> GridField:
         raise InputError(
             f"{path}: expected {spec.nx * spec.nx} rows of x,y,value, got shape {data.shape}"
         )
-    return GridField(spec, data[:, 2].reshape(spec.nx, spec.nx))
+    # copied: a view would keep the whole parsed table alive with the field
+    return GridField(spec, data[:, 2].reshape(spec.nx, spec.nx).copy())

@@ -157,6 +157,8 @@ def test_csv_round_trip(tmp_path):
     back = field_from_csv(path)
     assert back.spec == g
     assert np.array_equal(back.values, fld.values)
+    # the field owns its values, not a view into the parsed x,y,value table
+    assert back.values.flags.owndata and back.values.flags.c_contiguous
 
 
 def test_csv_header_and_sidecar(tmp_path):
