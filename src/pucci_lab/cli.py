@@ -125,7 +125,7 @@ _KEYS: dict = {
     "fixture.r": (_p_float, 0.4),
     "fixture.gamma": (_p_float, 1.0),
     "field": (str, None),
-    "radii": (_p_floats, (0.05, 0.1, 0.15, 0.2)),
+    "radii": (_p_floats, None),  # None: _default_radii of the field's grid
     "cone.theta": (_p_float, 60.0),
     "cone.angle": (_p_float, None),
     "rel_tol": (_p_float, 0.05),
@@ -399,6 +399,16 @@ def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     man.data["verdicts"]["converged"] = "PASS" if report.all_converged else "FAIL"
 
 
+def _default_radii(spec: GridSpec) -> tuple[float, ...]:
+    """Four radii evenly spaced from max(extent / 20, 8h), fit_two_plane's
+    floor, to extent / 5, whose 2r blow-up stays inside the domain."""
+    lo, hi = max(spec.extent / 20.0, 8.0 * spec.h), spec.extent / 5.0
+    if not lo < hi:
+        _fail(f"the field's 8h = {8 * spec.h:g} leaves no default radii below "
+              f"extent / 5 = {hi:g}; set radii", key="radii")
+    return tuple(lo + (hi - lo) * k / 3.0 for k in range(4))
+
+
 def _diagnose_field(cfg: RunConfig) -> GridField:
     if cfg["field"] is not None:
         return field_from_csv(cfg["field"])
@@ -442,7 +452,8 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
         else:
             x0 = cfg["x0"] if cfg["x0"] is not None else \
                 tuple(curve.vertices[curve.nearest_vertex(_grid_center(spec))])
-            radii = cfg["radii"]
+            radii = cfg["radii"] or _default_radii(spec)
+            man.data["telemetry"]["radii"] = list(radii)
 
             with _or_degenerate(rows, verdicts, "regular_point", "growth_constant_M"):
                 rec = classify_regular(u, x0, radii)
@@ -504,17 +515,17 @@ def _verify_operators(rng, pairs=None) -> bool:
     a, b, c = (rng.normal(size=(2000, 3)) * 3.0).T
     worst = 0.0
     for pr in pairs:
-        ell = pr.ell
-        fm = _extremal_side(pr.minus, ell, a, b, c, False)[0]
-        fp = _extremal_side(pr.plus, ell, a, b, c, True)[0]
-        lo, hi = (_extremal_side(None, ell, a, b, c, side)[0] for side in (False, True))
+        pucci = MatrixFamily("full_pucci", pr.ell)
+        fm = _extremal_side(pr.minus, a, b, c, False)[0]
+        fp = _extremal_side(pr.plus, a, b, c, True)[0]
+        lo, hi = (_extremal_side(pucci, a, b, c, side)[0] for side in (False, True))
         tr = a + c
-        dual = _extremal_side(None, ell, -a, -b, -c, True)[0] + lo
-        hom = _extremal_side(pr.minus, ell, 2 * a, 2 * b, 2 * c, False)[0] - 2.0 * fm
+        dual = _extremal_side(pucci, -a, -b, -c, True)[0] + lo
+        hom = _extremal_side(pr.minus, 2 * a, 2 * b, 2 * c, False)[0] - 2.0 * fm
         ang = rng.uniform(0.0, 2.0 * math.pi, size=20)[:, None]
         co, si = np.cos(ang), np.sin(ang)
         m_a, m_b, m_c = a[:50], b[:50], c[:50]
-        rot = _extremal_side(pr.minus, ell,
+        rot = _extremal_side(pr.minus,
                              co * co * m_a + 2 * co * si * m_b + si * si * m_c,
                              co * si * (m_c - m_a) + (co * co - si * si) * m_b,
                              si * si * m_a - 2 * co * si * m_b + co * co * m_c, False)[0]

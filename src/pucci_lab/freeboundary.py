@@ -293,14 +293,17 @@ def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = 
 
 def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> RegularityRecord:
     """Linear-growth classification: M = min over radii of sup |u| / r,
-    judged against the floor ``m_min`` (default 10 h Lip / min radius)."""
+    judged against the floor ``m_min`` (default the lesser of 10 h Lip / min
+    radius and Lip / 2)."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0):
         raise InputError("radii must be a nonempty 1-D array of positive reals")
     u.spec.require_ball(x0, float(radii.max()))
     lip = lipschitz_seminorm(u)
     if m_min is None:
-        m_min = 10.0 * u.spec.h * lip / float(radii.min())
+        # M <= |grad u|, about Lip, at a zero of u: a floor at Lip fails every
+        # point; Lip / 2 still fails quadratic growth, M ~ |D^2 u| min(radii)
+        m_min = min(10.0 * u.spec.h * lip / float(radii.min()), 0.5 * lip)
 
     sup_abs, sup_pos, sup_neg = np.array(
         [_ball_sups(u, x0, r, ("abs", "plus", "minus"), 1e-3 * lip * r) for r in radii]).T

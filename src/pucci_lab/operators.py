@@ -41,10 +41,12 @@ Both schemes reduce to a list of discrete Hessians, the frames: the central
 Hessian, or the K directional pairs (d1, d2) taken as diag(d1, d2).
 One kernel per family gives one side of tr(A M) on a frame, the inf or the
 sup, and the residual takes the min (inf side) or max (sup side) over the
-frames.  M- and F- are an inf side, M+ and F+ a sup side; G_eps takes the
-inf side of its minus family and the sup side of its plus family and blends
-them by H_eps.  On request the kernel also returns the matrix attaining its
-side, the policy; ``linearize`` turns it into the Jacobian of the residual at
+frames.  A selector resolves to the families it runs, as (inf side, sup
+side): F- runs its minus family's inf side, F+ its plus family's sup side,
+G_eps both, blended by H_eps; M- and M+ run the full Pucci class, and the
+laplacian the identity's inf side on the central Hessian whatever the
+scheme.  On request the kernel also returns the matrix attaining its side,
+the policy; ``linearize`` turns it into the Jacobian of the residual at
 that policy, as coefficients on the second differences (three on the central
 scheme, four on the wide one), and ``jacobian_apply`` applies it matrix-free.
 """
@@ -94,26 +96,30 @@ class Ellipticity:
             raise ConfigurationError(f"lambda must satisfy 0 < lambda <= 1, got {self.lam!r}")
         if not (self.Lam >= 1.0) or not np.isfinite(self.Lam):
             raise ConfigurationError(f"Lambda must satisfy Lambda >= 1, got {self.Lam!r}")
+        # float bounds: integer weights would make the kernels' arrays integer
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "Lam", float(self.Lam))
 
 
 def eig2(m: SymMat2) -> tuple[float, float]:
     """Eigenvalues of a symmetric 2x2 matrix, ascending, by the closed form
     (entries below about 1e154 in magnitude, where its squares stay finite)."""
-    e1, e2 = _eig2_arrays(m.a, m.b, m.c)
+    e1, e2, _ = _eig2_arrays(m.a, m.b, m.c)
     return float(e1), float(e2)
 
 
 def _eig2_arrays(a, b, c):
+    """(e1, e2, rad): the eigenvalues, ascending, and half their gap."""
     mean = 0.5 * (a + c)
     rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return mean - rad, mean + rad
+    return mean - rad, mean + rad, rad
 
 
 def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
     """Pucci extremal value M-(m) (branch="minus") or M+(m) (branch="plus")."""
     if branch not in ("minus", "plus"):
         raise ConfigurationError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    return float(_extremal_side(None, ell, m.a, m.b, m.c, branch == "plus")[0])
+    return family_extremal(MatrixFamily("full_pucci", ell), m, "sup" if branch == "plus" else "inf")
 
 
 @dataclass(frozen=True)
@@ -164,58 +170,48 @@ def family_extremal(fam: MatrixFamily, m: SymMat2, mode: str) -> float:
     """inf (mode="inf") or sup (mode="sup") of tr(A m) over the family."""
     if mode not in ("inf", "sup"):
         raise ConfigurationError(f"mode must be 'inf' or 'sup', got {mode!r}")
-    return float(_extremal_side(fam, fam.ell, m.a, m.b, m.c, mode == "sup")[0])
+    return float(_extremal_side(fam, m.a, m.b, m.c, mode == "sup")[0])
 
 
-def _extremal_side(fam: MatrixFamily | None, ell: Ellipticity, a, b, c, sup: bool,
-                   policy: bool = False):
+def _extremal_side(fam: MatrixFamily, a, b, c, sup: bool, policy: bool = False):
     """(value, active): inf (``sup`` False) or sup of tr(A M) over the family,
-    entrywise for M = [[a, b], [b, c]].
-
-    ``fam`` None is the full Pucci class of ``ell``; otherwise ``ell`` is
-    ``fam.ell``.  ``active`` is None unless ``policy``: then it is the matrix
-    attaining the side, as (A11, A12, A22) entries.
-    """
-    kind = "full_pucci" if fam is None else fam.kind
-    if kind == "full_pucci":
+    entrywise for M = [[a, b], [b, c]]; with ``policy``, ``active`` is the
+    matrix attaining it as (A11, A12, A22) entries, else None."""
+    if fam.kind == "full_pucci":
         # A = w1 P1 + w2 P2 over the eigenprojectors, w = w_up on a positive
         # eigenvalue and w_down elsewhere
-        w_up, w_down = (ell.Lam, ell.lam) if sup else (ell.lam, ell.Lam)
-        e1, e2 = _eig2_arrays(a, b, c)
+        w_up, w_down = (fam.ell.Lam, fam.ell.lam) if sup else (fam.ell.lam, fam.ell.Lam)
+        e1, e2, rad = _eig2_arrays(a, b, c)
+        rad = rad if policy else None  # only the policy reads it: free it early
         pos = np.maximum(e1, 0.0) + np.maximum(e2, 0.0)
         neg = np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
         up1, up2 = (e1 > 0.0, e2 > 0.0) if policy else (None, None)
         del e1, e2  # fewer live temporaries: fewer page faults on large grids
         value = w_up * pos + w_down * neg
         del pos, neg
-        return value, _pucci_active(a, b, c, up1, up2, w_up, w_down) if policy else None
-    if kind == "identity_only":
+        return value, _pucci_active(a, b, c, rad, up1, up2, w_up, w_down) if policy else None
+    if fam.kind == "identity_only":
         return a + c, (1.0, 0.0, 1.0)
-    if kind == "frobenius_ball":
+    if fam.kind == "frobenius_ball":
         # A = I + r M / ||M||_F with r = -r0 (inf) or r0 (sup), and I at M = 0
         r = fam.r0 if sup else -fam.r0
         nrm = np.sqrt(a * a + 2.0 * b * b + c * c)
-        value = (a + c) + r * nrm
-        if not policy:
-            return value, None
-        k = np.divide(r, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
-        return value, (1.0 + k * a, k * b, 1.0 + k * c)
+        k = np.divide(r, nrm, out=np.zeros_like(nrm), where=nrm > 0.0) if policy else None
+        return (a + c) + r * nrm, (1.0 + k * a, k * b, 1.0 + k * c) if policy else None
     # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
     vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
-    value = vals.max(axis=0) if sup else vals.min(axis=0)
-    if not policy:
-        return value, None
-    entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
     pick = vals.argmax(axis=0) if sup else vals.argmin(axis=0)
-    return value, tuple(entries[pick].transpose(2, 0, 1))
+    value = np.take_along_axis(vals, pick[None], axis=0)[0]
+    entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
+    return value, tuple(entries[pick].transpose(2, 0, 1)) if policy else None
 
 
-def _pucci_active(a, b, c, up1, up2, w_up, w_down):
+def _pucci_active(a, b, c, rad, up1, up2, w_up, w_down):
     """Entries of w1 P1 + w2 P2, P_i the eigenprojectors of [[a, b], [b, c]]
-    and w_i = w_up where eigenvalue i is positive, w_down elsewhere."""
+    and w_i = w_up where eigenvalue i is positive, w_down elsewhere; ``rad``
+    is half the eigenvalue gap (``_eig2_arrays``), an array this overwrites."""
     # w1 P1 + w2 P2 = (w1 + w2) / 2 I + (w2 - w1) / (e2 - e1) [[(a - c) / 2, b], [b, (c - a) / 2]];
     # at a double eigenvalue the weights agree, or M = 0, and any split is exact
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
     inv = np.divide(0.5, rad, out=rad, where=rad > 0.0)  # 1 / (e2 - e1), 0 where e2 = e1
     w1 = np.where(up1, w_up, w_down)
     w2 = np.where(up2, w_up, w_down)
@@ -325,25 +321,28 @@ def central_hessian(u: np.ndarray, h: float):
     return uxx, uyy, uxy
 
 
-def _resolve(op: str, pair: OperatorPair | None, ell: Ellipticity | None, eps):
-    """Normalize the (pair, ell) arguments for a selector."""
+def _resolve(op: str, scheme: SchemeSpec, pair: OperatorPair | None,
+             ell: Ellipticity | None, eps):
+    """The scheme a selector runs on and its families, as (scheme, inf side,
+    sup side) with None for a side it does not run (module docstring).  M-
+    and M+ take ``ell``, or the pair's when ``ell`` is None."""
     if op not in OP_SELECTORS:
         raise ConfigurationError(f"unknown operator selector {op!r}; choose from {OP_SELECTORS}")
-    if op in ("F_minus", "F_plus", "G_eps"):
-        if pair is None:
-            raise ConfigurationError(f"selector {op!r} needs an operator pair")
-        ell = pair.ell
-    if op in ("M_minus", "M_plus"):
-        if ell is None:
-            if pair is None:
-                raise ConfigurationError(f"selector {op!r} needs ellipticity bounds")
-            ell = pair.ell
+    if op == "laplacian":
+        scheme, pair = SchemeSpec(), OperatorPair.identity(Ellipticity(1.0, 1.0))
+    elif op[0] == "M":
+        if ell is None and pair is None:
+            raise ConfigurationError(f"selector {op!r} needs ellipticity bounds")
+        pair = OperatorPair.pucci(pair.ell if ell is None else ell)
+    elif pair is None:
+        raise ConfigurationError(f"selector {op!r} needs an operator pair")
     if op == "G_eps" and not (eps is not None and eps > 0.0):
         raise ConfigurationError("selector 'G_eps' needs eps > 0")
-    return pair, ell
+    return (scheme, None if op.endswith("plus") else pair.minus,
+            pair.plus if op.endswith(("plus", "eps")) else None)
 
 
-def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
+def _frames(u: np.ndarray, h: float, scheme: SchemeSpec):
     """The scheme's discrete Hessians as (a, b, c, rot) for [[a, b], [b, c]].
 
     central: the one central Hessian, rot None.  wide: per angle i pi / (2K),
@@ -351,6 +350,7 @@ def _frames(u: np.ndarray, h: float, scheme: SchemeSpec, uxx, uyy, uxy):
     complement, diag(d1, d2) in the frame (v, v_perp), rot (c, s); H takes
     its mixed term from the diagonal in the direction's quadrant.
     """
+    uxx, uyy, uxy = central_hessian(u, h)
     if scheme.kind == "central":
         return [(uxx, uxy, uyy, None)]
     h2 = h * h
@@ -378,17 +378,16 @@ def _frame_coefs(act, rot):
             2.0 * c * s * a11, -2.0 * c * s * a22)
 
 
-def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, sup: bool,
-                 policy: bool = False):
+def _over_frames(frames, fam: MatrixFamily, sup: bool, policy: bool = False):
     """(value, coefs): the min over the frames of the inf side (``sup``
     False) or the max of the sup side, and with ``policy`` the coefficients
     (``_frame_coefs``) of the matrix and frame attaining it."""
-    if fam is not None and fam.kind == "finite_set" and len(frames) > 1:
+    if fam.kind == "finite_set" and len(frames) > 1:
         raise ConfigurationError("finite_set families are not rotation closed; "
                                  "wide stencils are unsupported")
     value = coefs = None
     for a, b, c, rot in frames:
-        f, act = _extremal_side(fam, ell, a, b, c, sup, policy)
+        f, act = _extremal_side(fam, a, b, c, sup, policy)
         if policy:
             new = _frame_coefs(act, rot)
             coefs = new if value is None else tuple(
@@ -397,15 +396,9 @@ def _over_frames(frames, fam: MatrixFamily | None, ell: Ellipticity, sup: bool,
     return value, coefs
 
 
-def residual_interior(
-    u: np.ndarray,
-    h: float,
-    op: str,
-    scheme: SchemeSpec,
-    pair: OperatorPair | None = None,
-    ell: Ellipticity | None = None,
-    eps: float | None = None,
-) -> np.ndarray:
+def residual_interior(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
+                      pair: OperatorPair | None = None, ell: Ellipticity | None = None,
+                      eps: float | None = None) -> np.ndarray:
     """Residual of the selected operator on the interior block, shape (nx-2, nx-2).
 
     The laplacian is the trace of the central Hessian on either scheme.  Both
@@ -433,33 +426,26 @@ def linearize(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
 
 
 def _residual(u, h, op, scheme, pair, ell, eps, policy):
-    pair, ell = _resolve(op, pair, ell, eps)
-    uxx, uyy, uxy = central_hessian(u, h)
-    if op == "laplacian":
-        return uxx + uyy, (1.0, 1.0, 0.0), None
-    frames = _frames(u, h, scheme, uxx, uyy, uxy)
-    del uxx, uyy, uxy
-    if op != "G_eps":
-        sup = op.endswith("plus")
-        fam = None if op[0] == "M" else pair.plus if sup else pair.minus
-        return (*_over_frames(frames, fam, ell, sup, policy), None)
-    fm, k_m = _over_frames(frames, pair.minus, ell, False, policy)
-    fp, k_p = _over_frames(frames, pair.plus, ell, True, policy)
+    scheme, *fams = _resolve(op, scheme, pair, ell, eps)
+    frames = _frames(u, h, scheme)
+    sides = [_over_frames(frames, fam, sup, policy)
+             for fam, sup in zip(fams, (False, True)) if fam is not None]
     del frames
+    if len(sides) == 1:
+        return (*sides[0], None)
+    (fm, k_m), (fp, k_p) = sides
     hh = heaviside_smooth(u[1:-1, 1:-1], eps)
     gg = 1.0 - hh
     value = hh * fm + gg * fp
     if not policy:
         return value, None, None
     # hh k_m + gg k_p, blended in k_m's arrays (the identity's are scalars)
-    coefs = []
-    for x, y in zip(k_m, k_p):
-        y = gg * y
-        coefs.append(hh * x + y if np.isscalar(x) else np.add(np.multiply(x, hh, out=x), y, out=x))
+    coefs = tuple(hh * x + gg * y if np.isscalar(x) else
+                  np.add(np.multiply(x, hh, out=x), gg * y, out=x) for x, y in zip(k_m, k_p))
     # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
     s = np.clip((u[1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
     diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
-    return value, tuple(coefs), diag
+    return value, coefs, diag
 
 
 def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
@@ -503,14 +489,9 @@ def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def discrete_residual(
-    fld: GridField,
-    op: str,
-    scheme: SchemeSpec,
-    pair: OperatorPair | None = None,
-    ell: Ellipticity | None = None,
-    eps: float | None = None,
-) -> GridField:
+def discrete_residual(fld: GridField, op: str, scheme: SchemeSpec,
+                      pair: OperatorPair | None = None, ell: Ellipticity | None = None,
+                      eps: float | None = None) -> GridField:
     """Residual field of the selected operator; zero on the Dirichlet ring."""
     if not np.all(np.isfinite(fld.values)):
         raise InputError("field contains non-finite values")

@@ -6,9 +6,10 @@ Scalar problems solve R(u) = 0 for the residual R of
 policy (``operators.linearize``: the attaining matrix per node, plus
 H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
-Laplacian (fast sine transforms).  Frozen nodes are held rows: identity rows
-of J, which the preconditioner passes through and zeroes in the Laplacian's
-input.  The segregation system
+Laplacian (fast sine transforms), (lam, Lam) the band of the families the
+selector runs, (1, 1) for the laplacian.  Frozen nodes are held rows:
+identity rows of J, which the preconditioner passes through and zeroes in
+the Laplacian's input.  The segregation system
 
     M-(u_i) = (1/eps) u_1 u_2,   u_i >= 0,  u_i = f_i on the ring
 
@@ -176,7 +177,7 @@ def solve_dirichlet(
     ``boundary`` values (used by singular-barrier fixtures whose datum is
     prescribed on a masked region, not only the ring).
     """
-    pair, ell_r = _resolve(op, pair, ell, cfg.eps)
+    _, minus, plus = _resolve(op, cfg.scheme, pair, ell, cfg.eps)
     spec = boundary.spec
     if not np.all(np.isfinite(boundary.values)):
         raise InputError("boundary field contains non-finite values")
@@ -192,17 +193,17 @@ def solve_dirichlet(
             frozen_int = None
 
     def residual(v):
-        r = residual_interior(v, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
+        r = residual_interior(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
         if frozen_int is not None:
             r[frozen_int] = 0.0
         return r, float(np.abs(r).max())
 
-    scale = 1.0 if ell_r is None else 0.5 * (ell_r.lam + ell_r.Lam)
-    precond = _PoissonPreconditioner(spec.nx - 2, spec.h, scale)
+    band = (minus or plus).ell
+    precond = _PoissonPreconditioner(spec.nx - 2, spec.h, 0.5 * (band.lam + band.Lam))
     pad = np.zeros_like(u)
 
     def direction(v, res_arr):
-        _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell_r, eps=cfg.eps)
+        _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
 
         def jac(x):
             pad[1:-1, 1:-1] = x
@@ -377,7 +378,10 @@ def solve_segregation(
     the limit candidate u1 - u2.  Without ``initial`` each species starts
     from its uncoupled M- solve.  Every trial iterate is clamped at 0 before
     its residual is evaluated, so the returned pair is >= 0 exactly whatever
-    the stop reason, and ``final_residual`` is its own sup |Phi|.
+    the stop reason, and ``final_residual`` is its own sup |Phi|.  Cold starts
+    on the coarsest grids at the smallest eps run out of the default 100
+    iterates (tol 1e-8, cfl 1, ``edge_bumps``): eps = 1e-7 at nx = 9 and at
+    nx = 17 with amplitude 60, eps = 1e-6 at nx = 9 with amplitude 60.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")

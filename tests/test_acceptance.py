@@ -142,15 +142,16 @@ def test_criterion_01_operator_algebra():
     wrappers_agree = True
     for pr in pairs:
         ell = pr.ell
+        pucci = MatrixFamily("full_pucci", ell)
 
         def inf(a, b, c):
-            return _extremal_side(pr.minus, ell, a, b, c, False)[0]
+            return _extremal_side(pr.minus, a, b, c, False)[0]
 
         def sup(a, b, c):
-            return _extremal_side(pr.plus, ell, a, b, c, True)[0]
+            return _extremal_side(pr.plus, a, b, c, True)[0]
 
         fm, fp = inf(a, b, c), sup(a, b, c)
-        lo, hi = (_extremal_side(None, ell, a, b, c, side)[0] for side in (False, True))
+        lo, hi = (_extremal_side(pucci, a, b, c, side)[0] for side in (False, True))
         tr = a + c
         chain = np.max([lo - fm, fm - tr, tr - fp, fp - hi], axis=0)
         hom = np.abs(inf(2.0 * a, 2.0 * b, 2.0 * c) - 2.0 * fm)
@@ -161,7 +162,7 @@ def test_criterion_01_operator_algebra():
         inc = inf(a + pa, b + pb, c + pc) - fm
         trp = pa + pc
         ellip = np.maximum(ell.lam * trp - inc, inc - ell.Lam * trp)
-        neg_hi = _extremal_side(None, ell, -a, -b, -c, True)[0]
+        neg_hi = _extremal_side(pucci, -a, -b, -c, True)[0]
         dual = np.abs(neg_hi + lo)
         worst = max(worst, float(np.max([chain, hom, superadd, subadd, ellip, dual])))
         rot_worst = max(rot_worst, float(np.abs(inf(ra, rb, rc) - fm[:100]).max()),

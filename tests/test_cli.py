@@ -243,6 +243,35 @@ def test_diagnose_stored_field_all_pass(tmp_path, stored_two_plane):
     assert read_manifest(out2)["verdicts"] == verdicts
 
 
+def test_diagnose_cone_axis_from_the_config(tmp_path, stored_two_plane):
+    # the stored field rises along (cos 20, sin 20): translates along that
+    # axis are monotone at every rung, along the reversed axis at none
+    verdicts = {}
+    for angle in (20.0, 200.0):
+        out = str(tmp_path / f"a{angle:g}")
+        text = make_config(command="diagnose", field=stored_two_plane, radii="0.1,0.15,0.2",
+                           **{"cone.angle": angle})
+        cli.run(cli.parse_config(text), out_dir=out, quiet=True)
+        verdicts[angle] = read_manifest(out)["verdicts"]["cone_monotone"]
+    assert verdicts == {20.0: "PASS", 200.0: "FAIL"}
+
+
+def test_diagnose_fresh_solve_with_all_defaults_passes(tmp_path):
+    # no field: diagnose solves the default datum at nx = 65; its default
+    # radii start at fit_two_plane's 8h and its growth floor sits below Lip
+    out = str(tmp_path / "d")
+    assert cli.run(cli.parse_config("command = diagnose\n"), out_dir=out, quiet=True) == 0
+    man = read_manifest(out)
+    assert set(man["verdicts"]) == {"boundary_consistency", "regular_point", "jr_monotone",
+                                    "alpha_beta", "cone_monotone"}
+    assert man["telemetry"]["radii"] == pytest.approx([0.125, 0.15, 0.175, 0.2], abs=1e-15)
+    # where 8h reaches extent / 5 there are no default radii, and the run says so
+    coarse = str(tmp_path / "c")
+    text = "command = diagnose\ngrid.nx = 33\n"
+    assert cli.run(cli.parse_config(text), out_dir=coarse, quiet=True) == 2
+    assert "set radii" in read_manifest(coarse)["error"]
+
+
 def test_diagnose_coincident_field_passes_consistency(tmp_path):
     # exactly coincident phases measure a level-pair gap of 2h (2.000000000000057h
     # here), so the verdict must admit it; a carved 2h dead core measures 4h

@@ -91,16 +91,21 @@ def test_extract_clips_to_open_domain():
 
 
 def test_extract_saddle_cell_splits_into_two_branches(tmp_path):
+    # the saddle cell spans x in [30h, 31h]; its centre 30.5h lies right of
+    # x = 0.47, in the phase of the cell's lower-left corner, and left of
+    # x = 0.48, in the other phase, so each resolution of the cell runs
+    # (negating the field keeps the resolution: both signs flip)
     g = GridSpec(65)
     xx, yy = g.node_coords()
-    curve = extract_zero_set(GridField(g, (xx - 0.47) * (yy - 0.47)))
-    hit = np.minimum(np.abs(curve.vertices[:, 0] - 0.47),
-                     np.abs(curve.vertices[:, 1] - 0.47))
-    assert hit.max() <= 1e-12
-    path = tmp_path / "saddle.csv"
-    curve_to_csv(curve, path)
-    seg_ids = {row.split(",")[0] for row in path.read_text().strip().splitlines()[1:]}
-    assert len(seg_ids) == 2
+    for a in (0.47, 0.48):
+        curve = extract_zero_set(GridField(g, (xx - a) * (yy - 0.47)))
+        hit = np.minimum(np.abs(curve.vertices[:, 0] - a),
+                         np.abs(curve.vertices[:, 1] - 0.47))
+        assert hit.max() <= 1e-12
+        path = tmp_path / f"saddle{a}.csv"
+        curve_to_csv(curve, path)
+        seg_ids = {row.split(",")[0] for row in path.read_text().strip().splitlines()[1:]}
+        assert len(seg_ids) == 2
 
 
 @settings(max_examples=15, deadline=None)

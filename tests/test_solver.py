@@ -74,6 +74,28 @@ def test_plane_is_exact_for_every_selector():
         assert np.abs(res.field.values - (2 * X - Y)).max() <= 1e-10, op
 
 
+def test_integer_ellipticity_bounds_solve_as_their_floats():
+    # integer bounds once made the Pucci policy weights integer arrays, and
+    # every Newton step raised on their in-place update by a float
+    g = GridSpec(17)
+    datum = make_fixture(g, "sign_change")
+    f1, f2 = make_fixture(g, "edge_bumps", amplitude=5.0)
+    cfg = SolveConfig(tol=1e-8, eps=0.05)
+    assert type(Ellipticity(1, 2).lam) is float and type(Ellipticity(1, 2).Lam) is float
+    runs = [[solve_dirichlet(datum, "M_minus", cfg, ell=ell),
+             solve_dirichlet(datum, "G_eps", cfg, pair=OperatorPair.pucci(ell)),
+             solve_segregation(f1, f2, cfg, ell=ell)]
+            for ell in (Ellipticity(1, 2), Ellipticity(1.0, 2.0))]
+    for ints, floats in zip(*runs):
+        assert ints.converged
+        assert ints.residual_history.tolist() == floats.residual_history.tolist()
+        assert ints.telemetry == floats.telemetry
+        pairs = zip(ints.field, floats.field) if isinstance(ints.field, tuple) else \
+            [(ints.field, floats.field)]
+        for a, b in pairs:
+            assert np.array_equal(a.values, b.values)
+
+
 def test_boundary_ring_held_exactly():
     g = GridSpec(17)
     datum = make_fixture(g, "sign_change")
