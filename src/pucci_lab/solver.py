@@ -6,7 +6,7 @@ Scalar problems solve R(u) = 0 for the residual R of
 policy (``operators.linearize``: the attaining matrix per node, plus
 H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
-Laplacian (fast sine transforms), (lam, Lam) the band of the families the
+Laplacian (a dense sine basis), (lam, Lam) the band of the families the
 selector runs, (1, 1) for the laplacian.  Frozen nodes are held rows:
 identity rows of J, which the preconditioner passes through and zeroes in
 the Laplacian's input.  The segregation system
@@ -38,9 +38,11 @@ An unconverged solve returns its best iterate with ``converged=False``
 rather than raising; a non-finite starting residual raises
 :class:`BlowupError` naming the first offending node.
 
-The sine transforms come from ``scipy.fft``, the package's only scipy
-import.  It is made when the first Poisson preconditioner is built, so
-importing the package, and every diagnostic, needs numpy alone.
+The preconditioner diagonalises the Laplacian in the sine basis by dense
+matrix products rather than fast transforms, so the solvers, like the rest
+of the package, need numpy alone.  Up to 127 interior nodes a side that is
+as fast as ``scipy.fft`` or faster, and ``scipy.fft``'s import alone took
+0.3 s (``_PoissonPreconditioner``).
 """
 
 from __future__ import annotations
@@ -346,21 +348,36 @@ def _bicgstab(jac, psolve, b):
 
 class _PoissonPreconditioner:
     """Inverse of scale times the 5-point Dirichlet Laplacian on the n x n
-    interior, by type-1 fast sine transforms; a stack of interiors is
-    inverted block by block."""
+    interior, by its tensor-product diagonalisation (Lynch, Rice & Thomas,
+    Numer. Math. 1964): Q (Q r Q / eig) Q, with Q the orthonormal type-1
+    sine matrix, symmetric and its own inverse.  A stack of interiors is
+    inverted block by block.
+
+    An apply is four dense products, O(n^3) against the O(n^2 log n) of
+    fast sine transforms, with no per-call overhead.  Against
+    ``scipy.fft``'s transforms on 2 cores (``BENCH_17.json``) it is 4x
+    faster at n = 31, 2x at n = 63, at parity for an n = 127 block, and
+    slower for a (2, 127, 127) stack (1.1x to 1.6x) and at n = 255 and 511
+    (1.2x to 2.1x).
+    With another process holding one core, OpenBLAS's threads contend, and
+    an n = 127 block is already 1.3x to 1.8x slower."""
 
     def __init__(self, n: int, h: float, scale: float):
-        from scipy.fft import dstn, idstn  # see the module docstring
-        self._dstn, self._idstn = dstn, idstn
-        lam1 = (2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)) - 2.0) / (h * h)
+        k = np.arange(1, n + 1)
+        lam1 = (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / (h * h)
         self.eig = scale * (lam1[:, None] + lam1[None, :])
+        # j k reduced mod 2(n + 1) as integers keeps every sine argument in
+        # [0, 2 pi), so its rounding error is that of a small argument
+        jk = np.outer(k, k) % (2 * (n + 1))
+        self.q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
 
     def apply(self, r):
         """The preconditioned array for ``r``, an (n, n) block or a stack of
-        them: the transforms run over the last two axes."""
-        spec = self._dstn(r, type=1, axes=(-2, -1))
+        them: the products broadcast over the leading axis."""
+        q = self.q
+        spec = q @ r @ q
         spec /= self.eig
-        return self._idstn(spec, type=1, axes=(-2, -1), overwrite_x=True)
+        return q @ spec @ q
 
 
 def solve_segregation(

@@ -1,7 +1,7 @@
-import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -169,28 +169,56 @@ def test_held_rows_of_a_stack_pass_through_the_preconditioner(monkeypatch):
         assert np.array_equal(plain[i], pre.apply(np.where(held[i], 0.0, r[i])))
 
 
-def _scipy_modules_in_fresh_interpreter(code: str):
-    """Run ``code`` in a new interpreter on this package, then return the
-    scipy modules loaded at each ``mark()`` it calls."""
+@pytest.mark.parametrize("n", [3, 30, 31, 63, 127])
+def test_sine_basis_inverts_the_laplacian(n):
+    # 30 is not of the form 2^k - 1; scipy's fast sine transforms are the
+    # oracle only, the package itself does not import scipy
+    from scipy.fft import dstn, idstn
+
+    h = 1.0 / (n + 1)
+    rng = np.random.default_rng(n)
+    for scale in (1.5, -0.75):
+        pre = _PoissonPreconditioner(n, h, scale)
+        q = pre.q
+        assert np.array_equal(q, q.T)
+        assert np.abs(q @ q - np.eye(n)).max() <= 1e-14
+        r = rng.standard_normal((n, n))
+        x = pre.apply(r)
+        pad = np.zeros((n + 2, n + 2))
+        pad[1:-1, 1:-1] = x
+        lap = (pad[2:, 1:-1] + pad[:-2, 1:-1] + pad[1:-1, 2:] + pad[1:-1, :-2]
+               - 4.0 * pad[1:-1, 1:-1]) / h ** 2
+        assert np.abs(scale * lap - r).max() <= 1e-11 * np.abs(r).max()
+        ref = idstn(dstn(r, type=1) / pre.eig, type=1)
+        assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_solvers_run_without_scipy():
+    # a fresh interpreter, so that no import made by another test can hide one
     src = os.path.dirname(os.path.dirname(os.path.abspath(pucci_lab.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    prelude = ("import json, sys\nmarks = []\n"
-               "def mark():\n"
-               "    marks.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    proc = subprocess.run([sys.executable, "-c", prelude + code + "\nprint(json.dumps(marks))"],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-                          check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def test_package_imports_without_scipy_until_the_first_preconditioner():
-    # fresh interpreters, so that no import made by another test can hide one
-    bare, built = _scipy_modules_in_fresh_interpreter(
-        "import pucci_lab, pucci_lab.cli\nmark()\n"
-        "pucci_lab.solver._PoissonPreconditioner(5, 0.25, 1.0)\nmark()")
-    (fft_alone,) = _scipy_modules_in_fresh_interpreter("import numpy, scipy.fft\nmark()")
-    assert bare == []
-    assert "scipy.fft" in built and built == fft_alone
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import pucci_lab, pucci_lab.cli
+        from pucci_lab import (Ellipticity, GridSpec, OperatorPair, SolveConfig,
+                               make_fixture, solve_dirichlet, solve_segregation)
+        g = GridSpec(17)
+        cfg = SolveConfig(tol=1e-8, eps=0.05)
+        ell = Ellipticity(1.0, 2.0)
+        datum = make_fixture(g, "sign_change")
+        X, Y = g.node_coords()
+        frozen = np.hypot(X - 0.5, Y - 0.5) < 0.2
+        f1, f2 = make_fixture(g, "edge_bumps", amplitude=5.0)
+        runs = [solve_dirichlet(datum, "G_eps", cfg, pair=OperatorPair.pucci(ell)),
+                solve_dirichlet(datum, "M_minus", cfg, ell=ell, frozen=frozen),
+                solve_segregation(f1, f2, cfg, ell=ell)]
+        assert all(r.converged for r in runs)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_warm_restart_is_immediate():
