@@ -49,6 +49,8 @@ scheme.  On request the kernel also returns the matrix attaining its side,
 the policy; ``linearize`` turns it into the Jacobian of the residual at
 that policy, as coefficients on the second differences (three on the central
 scheme, four on the wide one), and ``jacobian_apply`` applies it matrix-free.
+Each kernel takes a grid or a stack of grids, shape (..., nx, nx), and returns
+interior blocks (..., nx-2, nx-2), bit for bit those of each grid alone.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def _extremal_side(fam: MatrixFamily, a, b, c, sup: bool, policy: bool = False):
     pick = vals.argmax(axis=0) if sup else vals.argmin(axis=0)
     value = np.take_along_axis(vals, pick[None], axis=0)[0]
     entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
-    return value, tuple(entries[pick].transpose(2, 0, 1)) if policy else None
+    return value, tuple(np.moveaxis(entries[pick], -1, 0)) if policy else None
 
 
 def _pucci_active(a, b, c, rad, up1, up2, w_up, w_down):
@@ -309,15 +311,15 @@ class SchemeSpec:
 
 
 def central_hessian(u: np.ndarray, h: float):
-    """Interior discrete Hessian entries (u_xx, u_yy, u_xy), shape (nx-2, nx-2).
+    """Interior discrete Hessian entries (u_xx, u_yy, u_xy), shape (..., nx-2, nx-2).
 
     u_xy is the four-corner average
     (u[i+1,j+1] - u[i+1,j-1] - u[i-1,j+1] + u[i-1,j-1]) / (4 h^2).
     """
     h2 = h * h
-    uxx = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / h2
-    uyy = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / h2
-    uxy = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * h2)
+    uxx = (u[..., 2:, 1:-1] - 2.0 * u[..., 1:-1, 1:-1] + u[..., :-2, 1:-1]) / h2
+    uyy = (u[..., 1:-1, 2:] - 2.0 * u[..., 1:-1, 1:-1] + u[..., 1:-1, :-2]) / h2
+    uxy = (u[..., 2:, 2:] - u[..., 2:, :-2] - u[..., :-2, 2:] + u[..., :-2, :-2]) / (4.0 * h2)
     return uxx, uyy, uxy
 
 
@@ -354,8 +356,8 @@ def _frames(u: np.ndarray, h: float, scheme: SchemeSpec):
     if scheme.kind == "central":
         return [(uxx, uxy, uyy, None)]
     h2 = h * h
-    dp = (u[2:, 2:] + u[:-2, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NE, SW
-    dm = (u[:-2, 2:] + u[2:, :-2] - 2.0 * u[1:-1, 1:-1]) / h2  # NW, SE
+    dp = (u[..., 2:, 2:] + u[..., :-2, :-2] - 2.0 * u[..., 1:-1, 1:-1]) / h2  # NE, SW
+    dm = (u[..., :-2, 2:] + u[..., 2:, :-2] - 2.0 * u[..., 1:-1, 1:-1]) / h2  # NW, SE
     uxy_p = 0.5 * (dp - uxx - uyy)
     uxy_m = 0.5 * (uxx + uyy - dm)
     frames = []
@@ -399,7 +401,7 @@ def _over_frames(frames, fam: MatrixFamily, sup: bool, policy: bool = False):
 def residual_interior(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
                       pair: OperatorPair | None = None, ell: Ellipticity | None = None,
                       eps: float | None = None) -> np.ndarray:
-    """Residual of the selected operator on the interior block, shape (nx-2, nx-2).
+    """Residual of the selected operator on the interior block, shape (..., nx-2, nx-2).
 
     The laplacian is the trace of the central Hessian on either scheme.  Both
     schemes read only the 3x3 neighbourhood of each node, which fits inside
@@ -412,7 +414,7 @@ def linearize(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
               pair: OperatorPair | None = None, ell: Ellipticity | None = None,
               eps: float | None = None):
     """The residual (``residual_interior``, bit for bit) and the Jacobian of
-    its active policy, as ``(value, coefs, diag)``.
+    its active policy, as ``(value, coefs, diag)``, each (..., nx-2, nx-2).
 
     The policy holds each node's attaining matrix (and frame).  Its Jacobian
     applied to an increment d is k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy-
@@ -434,7 +436,7 @@ def _residual(u, h, op, scheme, pair, ell, eps, policy):
     if len(sides) == 1:
         return (*sides[0], None)
     (fm, k_m), (fp, k_p) = sides
-    hh = heaviside_smooth(u[1:-1, 1:-1], eps)
+    hh = heaviside_smooth(u[..., 1:-1, 1:-1], eps)
     gg = 1.0 - hh
     value = hh * fm + gg * fp
     if not policy:
@@ -443,14 +445,14 @@ def _residual(u, h, op, scheme, pair, ell, eps, policy):
     coefs = tuple(hh * x + gg * y if np.isscalar(x) else
                   np.add(np.multiply(x, hh, out=x), gg * y, out=x) for x, y in zip(k_m, k_p))
     # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
-    s = np.clip((u[1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
+    s = np.clip((u[..., 1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
     diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
     return value, coefs, diag
 
 
 def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
-    """The policy Jacobian of ``linearize`` applied to the increment ``d``:
-    a full grid array, zero on the ring; returns the interior block.
+    """The policy Jacobian of ``linearize`` applied to the increment ``d``,
+    (..., nx, nx), zero on the ring; returns the interior (..., nx-2, nx-2).
 
     By the definitions of u_xy+- it is w_x d_xx + w_y d_yy + (k_p / 2) D+ -
     (k_m / 2) D- (+ diag d) with w = k + (k_m - k_p) / 2 on both axes.  The
@@ -458,12 +460,12 @@ def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
     only the four-corner part of D+ - D-.
     """
     k_xx, k_yy, *k_mixed = coefs
-    mid = d[1:-1, 1:-1]
-    out = d[2:, 2:] + d[:-2, :-2]
+    mid = d[..., 1:-1, 1:-1]
+    out = d[..., 2:, 2:] + d[..., :-2, :-2]
     t = np.empty_like(mid)
     if len(k_mixed) == 1:
-        out -= d[:-2, 2:]
-        out -= d[2:, :-2]
+        out -= d[..., :-2, 2:]
+        out -= d[..., 2:, :-2]
         out *= k_mixed[0]
     else:
         k_p, k_m = k_mixed
@@ -471,12 +473,13 @@ def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
         k_xx, k_yy = k_xx + shift, k_yy + shift
         out -= 2.0 * mid
         out *= k_p
-        np.add(d[:-2, 2:], d[2:, :-2], out=t)
+        np.add(d[..., :-2, 2:], d[..., 2:, :-2], out=t)
         t -= 2.0 * mid
         t *= k_m
         out -= t
     out *= 0.5
-    for k, fwd, back in ((k_xx, d[2:, 1:-1], d[:-2, 1:-1]), (k_yy, d[1:-1, 2:], d[1:-1, :-2])):
+    for k, fwd, back in ((k_xx, d[..., 2:, 1:-1], d[..., :-2, 1:-1]),
+                         (k_yy, d[..., 1:-1, 2:], d[..., 1:-1, :-2])):
         np.add(fwd, back, out=t)
         t -= mid
         t -= mid

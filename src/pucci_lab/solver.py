@@ -24,8 +24,8 @@ v_i / tau < G_i (the active set) and the row
 -J_i d_i + (v_j d_i + v_i d_j) / eps = -G_i elsewhere, J_i the policy
 Jacobian of M-(u_i).  Scaled by tau, the active rows read d_i = -v_i: they
 are held rows, like frozen nodes, and the (2, n, n) stack of both species
-goes through the same direction, BiCGSTAB and preconditioner as a scalar
-solve.
+goes through each residual and policy-Jacobian call and the same direction,
+BiCGSTAB and preconditioner as a scalar solve.
 
 Both share one damped Newton loop: each step halves from 1 down to 2^-10
 until the interior sup-norm of the residual falls.  It stops when that
@@ -428,11 +428,8 @@ def solve_segregation(
 
     def residual(w):
         v = w[:, 1:-1, 1:-1]
-        coup = inv_eps * v[0] * v[1]
-        phi = np.empty((2, n, n))
-        for i in (0, 1):
-            g = coup - residual_interior(w[i], h, "M_minus", cfg.scheme, ell=ell)
-            np.minimum(v[i] / tau, g, out=phi[i])
+        g = inv_eps * v[0] * v[1] - residual_interior(w, h, "M_minus", cfg.scheme, ell=ell)
+        phi = np.minimum(v / tau, g, out=g)
         return phi, float(np.abs(phi).max())
 
     # the Poisson preconditioner carries the sign of -M-'s Jacobian
@@ -441,21 +438,15 @@ def solve_segregation(
 
     def direction(w, phi):
         v = w[:, 1:-1, 1:-1]
-        coup = inv_eps * v[0] * v[1]
-        coefs, active = [], np.empty((2, n, n), dtype=bool)
-        for i in (0, 1):
-            m_i, k_i, _ = linearize(w[i], h, "M_minus", cfg.scheme, ell=ell)
-            coefs.append(k_i)
-            np.less(v[i] / tau, coup - m_i, out=active[i])
+        m, coefs, _ = linearize(w, h, "M_minus", cfg.scheme, ell=ell)
+        active = v / tau < inv_eps * v[0] * v[1] - m
 
         def jac(x):
             pads[:, 1:-1, 1:-1] = x
-            out = np.empty((2, n, n))
-            for i in (0, 1):
-                np.multiply(v[1 - i], x[i], out=out[i])
-                out[i] += v[i] * x[1 - i]
-                out[i] *= inv_eps
-                out[i] -= jacobian_apply(coefs[i], None, pads[i], h)
+            out = v[::-1] * x
+            out += v * x[::-1]
+            out *= inv_eps
+            out -= jacobian_apply(coefs, None, pads, h)
             return out
 
         # the active rows d_i / tau = -Phi_i, times tau: held at tau Phi_i = v_i

@@ -516,3 +516,41 @@ def test_linearization_matches_residual(op, name, scheme, seed):
             general = jacobian_apply((*k, np.copy(k[2])), diag, d, g.h)
             four = jacobian_apply(k, diag, d, g.h)
             assert np.abs(four - general).max() <= 1e-12 * np.abs(general).max()
+
+
+STACK_CASES = [
+    (op, name, scheme)
+    for scheme in ("central", "wide4")
+    for op in OP_SELECTORS
+    for name in (("pucci", "frobenius", "mixed", "finite")
+                 if op in ("F_minus", "F_plus", "G_eps") else ["pucci"])
+    if not (name == "finite" and scheme != "central")
+]
+
+
+@pytest.mark.parametrize("op, name, scheme", STACK_CASES)
+def test_stack_equals_its_slices(op, name, scheme):
+    # the segregation solver passes both species as one (2, nx, nx) stack
+    g = GridSpec(17)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((2, 17, 17))
+    d = rng.standard_normal((2, 17, 17))
+    d[:, g.boundary_ring()] = 0.0
+    kw = dict(pair=LINEAR_PAIRS[name], ell=LINEAR_PAIRS[name].ell,
+              eps=0.5 if op == "G_eps" else None)
+    spec = SCHEMES[scheme]
+    res = residual_interior(u, g.h, op, spec, **kw)
+    assert np.array_equal(res, np.stack([residual_interior(w, g.h, op, spec, **kw) for w in u]))
+    value, coefs, diag = linearize(u, g.h, op, spec, **kw)
+    one = [linearize(w, g.h, op, spec, **kw) for w in u]
+    assert np.array_equal(value, np.stack([v for v, _, _ in one]))
+    # the identity family gives scalar coefficients on the central scheme
+    for i, k in enumerate(coefs):
+        assert np.array_equal(np.broadcast_to(k, value.shape),
+                              np.stack([np.broadcast_to(c[i], (15, 15)) for _, c, _ in one]))
+    assert (diag is None) == (op != "G_eps")
+    if diag is not None:
+        assert np.array_equal(diag, np.stack([dg for _, _, dg in one]))
+    jd = jacobian_apply(coefs, diag, d, g.h)
+    assert np.array_equal(jd, np.stack([jacobian_apply(c, dg, x, g.h)
+                                        for (_, c, dg), x in zip(one, d)]))

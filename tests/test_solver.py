@@ -437,6 +437,30 @@ def test_segregation_coarse_ladder_converges_to_the_stiff_rung():
     assert np.all(np.diff(rates) > 0.0) and rates.max() <= 2.0 / 3.0
 
 
+def test_segregation_calls_each_kernel_once_on_the_stack(monkeypatch):
+    shapes = []
+
+    def spy(name):
+        kernel = getattr(solver, name)
+
+        def call(u, *args, **kwargs):
+            shapes.append((name, u.shape))
+            return kernel(u, *args, **kwargs)
+
+        monkeypatch.setattr(solver, name, call)
+
+    spy("residual_interior")
+    spy("linearize")
+    f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
+    warm = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), ell=SEG_ELL)
+    shapes.clear()  # the cold start solves each species alone
+    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.1), ell=SEG_ELL,
+                            initial=warm.field)
+    assert res.iterations >= 2
+    assert {name for name, _ in shapes} == {"residual_interior", "linearize"}
+    assert {shape for _, shape in shapes} == {(2, 17, 17)}
+
+
 def test_segregation_budget_returns_its_start():
     f1, f2 = make_fixture(GridSpec(33), "edge_bumps", amplitude=60.0)
     res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, eps=0.002, max_iter=1), ell=SEG_ELL)
