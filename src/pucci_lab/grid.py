@@ -110,9 +110,6 @@ class GridField:
         """The Dirichlet ring of the spec, a fresh boolean array."""
         return self.spec.boundary_ring()
 
-    def copy(self) -> "GridField":
-        return GridField(self.spec, self.values.copy())
-
 
 @dataclass
 class VectorField:

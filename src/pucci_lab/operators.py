@@ -17,6 +17,16 @@ and the regularized scalar operator
 
 with H_eps a cubic smoothstep ramping 0 -> 1 on [-eps, eps].
 
+In 2-D the Pucci operators need no eigenvalues.  With m = (lam + Lam) / 2,
+d = (Lam - lam) / 2, tr = a + c and gap = e2 - e1 = sqrt((a - c)^2 + 4 b^2)
+for M = [[a, b], [b, c]], |e1| + |e2| = max(|tr|, gap), so
+
+    M-+(M) = m tr -+ d max(|tr|, gap).
+
+The matrix attaining it is m I -+ (d / gap) [[a - c, 2b], [2b, c - a]] where
+gap > |tr| (eigenvalues of opposite sign), and (m -+ d sign tr) I elsewhere,
+which is the band midpoint m I at M = 0.
+
 Supported families: the full Pucci class, the identity alone (trace), the
 Frobenius ball ||A - I||_F <= r0 (closed form tr(M) -+ r0 ||M||_F), and
 explicit finite sets.  Finite sets are not rotation closed and cannot be used
@@ -106,15 +116,9 @@ class Ellipticity:
 def eig2(m: SymMat2) -> tuple[float, float]:
     """Eigenvalues of a symmetric 2x2 matrix, ascending, by the closed form
     (entries below about 1e154 in magnitude, where its squares stay finite)."""
-    e1, e2, _ = _eig2_arrays(m.a, m.b, m.c)
-    return float(e1), float(e2)
-
-
-def _eig2_arrays(a, b, c):
-    """(e1, e2, rad): the eigenvalues, ascending, and half their gap."""
-    mean = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return mean - rad, mean + rad, rad
+    mean = 0.5 * (m.a + m.c)
+    rad = math.sqrt((0.5 * (m.a - m.c)) ** 2 + m.b * m.b)
+    return mean - rad, mean + rad
 
 
 def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
@@ -180,18 +184,24 @@ def _extremal_side(fam: MatrixFamily, a, b, c, sup: bool, policy: bool = False):
     entrywise for M = [[a, b], [b, c]]; with ``policy``, ``active`` is the
     matrix attaining it as (A11, A12, A22) entries, else None."""
     if fam.kind == "full_pucci":
-        # A = w1 P1 + w2 P2 over the eigenprojectors, w = w_up on a positive
-        # eigenvalue and w_down elsewhere
-        w_up, w_down = (fam.ell.Lam, fam.ell.lam) if sup else (fam.ell.lam, fam.ell.Lam)
-        e1, e2, rad = _eig2_arrays(a, b, c)
-        rad = rad if policy else None  # only the policy reads it: free it early
-        pos = np.maximum(e1, 0.0) + np.maximum(e2, 0.0)
-        neg = np.minimum(e1, 0.0) + np.minimum(e2, 0.0)
-        up1, up2 = (e1 > 0.0, e2 > 0.0) if policy else (None, None)
-        del e1, e2  # fewer live temporaries: fewer page faults on large grids
-        value = w_up * pos + w_down * neg
-        del pos, neg
-        return value, _pucci_active(a, b, c, rad, up1, up2, w_up, w_down) if policy else None
+        # the closed form and policy of the module docstring, d negated on the inf side
+        m = 0.5 * (fam.ell.Lam + fam.ell.lam)
+        d = 0.5 * (fam.ell.Lam - fam.ell.lam) * (1.0 if sup else -1.0)
+        tr = a + c
+        gap = np.sqrt((a - c) ** 2 + (2.0 * b) ** 2)  # e2 - e1
+        value = m * tr + d * np.maximum(np.abs(tr), gap)
+        if not policy:
+            return value, None
+        # the policy base I + k [[a - c, 2b], [2b, c - a]], written over gap and tr
+        split = gap > np.abs(tr)
+        k = np.divide(d, np.where(split, gap, np.inf), out=gap)  # 0 where not split
+        base = np.multiply(d, np.where(split, 0.0, np.sign(tr)), out=tr)
+        base += m
+        g = k * (a - c)
+        k *= 2.0 * b
+        a11 = base + g
+        base -= g
+        return value, (a11, k, base)
     if fam.kind == "identity_only":
         return a + c, (1.0, 0.0, 1.0)
     if fam.kind == "frobenius_ball":
@@ -206,31 +216,6 @@ def _extremal_side(fam: MatrixFamily, a, b, c, sup: bool, policy: bool = False):
     value = np.take_along_axis(vals, pick[None], axis=0)[0]
     entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
     return value, tuple(np.moveaxis(entries[pick], -1, 0)) if policy else None
-
-
-def _pucci_active(a, b, c, rad, up1, up2, w_up, w_down):
-    """Entries of w1 P1 + w2 P2, P_i the eigenprojectors of [[a, b], [b, c]]
-    and w_i = w_up where eigenvalue i is positive, w_down elsewhere; ``rad``
-    is half the eigenvalue gap (``_eig2_arrays``), an array this overwrites."""
-    # w1 P1 + w2 P2 = (w1 + w2) / 2 I + (w2 - w1) / (e2 - e1) [[(a - c) / 2, b], [b, (c - a) / 2]];
-    # at a double eigenvalue the weights agree, or M = 0, and any split is exact
-    inv = np.divide(0.5, rad, out=rad, where=rad > 0.0)  # 1 / (e2 - e1), 0 where e2 = e1
-    w1 = np.where(up1, w_up, w_down)
-    w2 = np.where(up2, w_up, w_down)
-    del w_up, w_down
-    slope = w2 - w1
-    slope *= inv
-    del inv
-    w2 += w1
-    w2 *= 0.5
-    del w1
-    g = a - c
-    g *= slope
-    g *= 0.5
-    slope *= b
-    a11 = w2 + g
-    w2 -= g
-    return a11, slope, w2
 
 
 @dataclass(frozen=True)
@@ -292,7 +277,7 @@ def g_epsilon_eval(m: SymMat2, u_value: float, pair: OperatorPair, eps: float) -
 class SchemeSpec:
     """Finite-difference scheme: 9-point central Hessian or wide stencil.
 
-    kind "central": eigenvalue formulas on the central discrete Hessian.
+    kind "central": each family's closed form on the central discrete Hessian.
     kind "wide": K direction pairs at angles k pi / (2K), k = 0..K-1, each
     paired with its orthogonal complement; K even, K >= 4.
     """

@@ -396,9 +396,11 @@ def solve_segregation(
     from its uncoupled M- solve.  Every trial iterate is clamped at 0 before
     its residual is evaluated, so the returned pair is >= 0 exactly whatever
     the stop reason, and ``final_residual`` is its own sup |Phi|.  Cold starts
-    on the coarsest grids at the smallest eps run out of the default 100
-    iterates (tol 1e-8, cfl 1, ``edge_bumps``): eps = 1e-7 at nx = 9 and at
-    nx = 17 with amplitude 60, eps = 1e-6 at nx = 9 with amplitude 60.
+    at the smallest eps can fail (tol 1e-8, cfl 1, ``edge_bumps``, nx = 9, 17
+    and 33, eps = 1e-4 to 1e-7): eps = 1e-7 at nx = 9 and at nx = 17 with
+    amplitude 60, and eps = 1e-6 at nx = 9 with amplitude 60, run out of the
+    default 100 iterates; eps = 1e-7 at nx = 33 with amplitude 60 stops on
+    ``stall`` after 49 iterates.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")

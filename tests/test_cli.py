@@ -95,6 +95,30 @@ def test_parse_rejects_bad_fixture_values(fixture, key, bad):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("grid.nx", "4"),
+    ("grid.extent", "0"),
+    ("op", "M_middle"),
+    ("family.minus", "finite_set"),
+    ("family.r0", "1"),
+    ("ell.Lambda", "0.5"),
+    ("scheme", "upwind"),
+    ("scheme.K", "5"),
+    ("eps", "0"),
+    ("max_iter", "0"),
+    ("eps_list", "0.1,0"),
+    ("fixture", "sphere"),
+    ("radii", "0.1,-0.2"),
+    ("radii", "0.2,0.1"),
+    ("cone.theta", "90"),
+    ("rel_tol", "-0.01"),
+])
+def test_parse_rejects_each_out_of_range_value(key, bad):
+    with pytest.raises(ParseError) as exc:
+        cli.parse_config(f"command = solve\n{key} = {bad}\n")
+    assert (exc.value.key, exc.value.line) == (key, 2)
+
+
 def test_parse_rejects_nonpositive_edge_bumps_amplitude():
     # sign_change takes any amplitude; edge_bumps needs a positive one
     cli.parse_config("command = solve\nfixture.amplitude = -1\n")

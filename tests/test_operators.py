@@ -26,7 +26,7 @@ from pucci_lab import (
     pucci_eval,
     residual_interior,
 )
-from pucci_lab.operators import jacobian_apply, linearize
+from pucci_lab.operators import _extremal_side, jacobian_apply, linearize
 
 ELL = Ellipticity(1.0, 2.0)
 FINITE = MatrixFamily(
@@ -65,6 +65,32 @@ def test_eig2_matches_lapack():
         ours = eig2(m)
         ref = np.linalg.eigvalsh(m.as_array())
         assert ours == pytest.approx(tuple(ref), abs=1e-12)
+
+
+@pytest.mark.parametrize("ell", [ELL, Ellipticity(0.25, 3.0)])
+@pytest.mark.parametrize("sup", [False, True])
+def test_pucci_policy_at_kinks(ell, sup):
+    # the kinks of M-+: M = 0, rank one of each sign, c I, eigenvalues of
+    # opposite sign, then random draws
+    kinks = [(0.0, 0.0, 0.0), (9.0, 12.0, 16.0), (-1.0, -1.0, -1.0), (0.0, 0.0, 2.5),
+             (2.5, 0.0, 2.5), (-1.5, 0.0, -1.5), (3.0, 0.0, -1.0), (1.0, 2.0, -1.0)]
+    rng = np.random.default_rng(11)
+    a, b, c = np.concatenate([np.array(kinks), rng.normal(size=(200, 3)) * 5]).T
+    value, (a11, a12, a22) = _extremal_side(MatrixFamily("full_pucci", ell), a, b, c, sup,
+                                            policy=True)
+    mats = np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+    pols = np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+    w = np.linalg.eigvalsh(pols)
+    assert w.min() >= ell.lam - 1e-12 and w.max() <= ell.Lam + 1e-12
+    scale = 1.0 + np.abs(mats).max(axis=(-2, -1))
+    assert np.all(np.abs(a11 * a + 2.0 * a12 * b + a22 * c - value) <= 1e-13 * scale)
+    e = np.linalg.eigvalsh(mats)
+    up, down = (ell.Lam, ell.lam) if sup else (ell.lam, ell.Lam)
+    ref = up * np.maximum(e, 0.0).sum(-1) + down * np.minimum(e, 0.0).sum(-1)
+    assert np.all(np.abs(value - ref) <= 1e-13 * scale)
+    # at M = 0 the policy is the band midpoint on either side
+    mid = 0.5 * (ell.lam + ell.Lam)
+    assert (a11[0], a12[0], a22[0]) == (mid, 0.0, mid)
 
 
 @given(mats)
@@ -374,7 +400,7 @@ def test_wide_stencil_weights_on_east_neighbour(delta):
 @pytest.mark.parametrize("scheme", [SchemeSpec(), SchemeSpec("wide", 4)])
 @pytest.mark.parametrize("name", ["pucci", "identity", "frobenius"])
 def test_g_eps_shared_family_matches_its_branches_bitwise(scheme, name):
-    # one family on both sides takes F- and F+ from the same eigenvalues; the
+    # one family on both sides takes F- and F+ from the same Hessian; the
     # result is the blend of the two one-sided residuals, bit for bit
     g = GridSpec(33)
     X, Y = g.node_coords()
