@@ -9,6 +9,12 @@ comments, dotted keys), dispatched by the ``command`` key:
     diagnose   interface diagnostics on a stored or freshly solved field
     verify     the condensed property battery of every module
 
+Each value is checked as it is parsed.  A key whose rule the library states
+(the grid, ellipticity, scheme, solver, eps-ladder and cone keys) is checked
+by building the library object it configures, so a bad value's message is
+the library's own; the other keys carry the CLI's own rules.  A parse error
+names the offending key and, where the config sets it, its line.
+
 Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
 written atomically) echoing the full config with defaults, a hash of that
 echo, per-stage timings, telemetry, and a verdict table.  The process exit
@@ -61,6 +67,7 @@ from .operators import (
 )
 from .solver import (
     SolveConfig,
+    eps_ladder,
     epsilon_sweep,
     residuals_to_csv,
     solve_dirichlet,
@@ -70,9 +77,6 @@ from .solver import (
 COMMANDS = ("solve", "segregate", "sweep", "diagnose", "verify")
 _PAIR_FIXTURES = ("split_supports", "edge_bumps")
 _CLI_FAMILIES = ("full_pucci", "identity_only", "frobenius_ball")
-# fixture parameters that every fixture reading them needs positive
-_POSITIVE_FIXTURE_KEYS = ("fixture.alpha", "fixture.beta", "fixture.c", "fixture.r",
-                          "fixture.gamma", "fixture.dead_band")
 
 
 def _p_float(s: str) -> float:
@@ -96,41 +100,66 @@ def _p_floats(s: str) -> tuple[float, ...]:
     return tuple(_p_float(p) for p in parts)
 
 
-# key -> (value parser, default); None default means "unset"
+def _require(ok: bool, rule: str, v) -> None:
+    """A rule only the CLI states: raise ValueError naming it unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{rule}, got {v!r}")
+
+
+def _one_of(names, note: str = ""):
+    return lambda v: _require(v in names, f"must be one of {', '.join(names)}{note}", v)
+
+
+def _positive(v) -> None:
+    _require(v > 0.0, "must be positive", v)
+
+
+def _increasing(v) -> None:
+    _require(all(b > a for a, b in zip((0.0,) + v, v)),
+             "must be positive and strictly increasing", v)
+
+
+_family = _one_of(_CLI_FAMILIES,
+                  " (finite sets need explicit members and are not line-configurable)")
+
+# key -> (value parser, check, default); None default means "unset".  A check
+# raises ValueError on a bad parsed value.  Where the library states the rule,
+# the check builds the object the key configures, so the rule is written once
+# and the message is the library's own.
 _KEYS: dict = {
-    "command": (str, None),
-    "grid.nx": (int, 65),
-    "grid.extent": (_p_float, 1.0),
-    "grid.origin": (_p_pair, (0.0, 0.0)),
-    "op": (str, "G_eps"),
-    "family.minus": (str, "full_pucci"),
-    "family.plus": (str, "full_pucci"),
-    "family.r0": (_p_float, 0.5),
-    "ell.lambda": (_p_float, 1.0),
-    "ell.Lambda": (_p_float, 2.0),
-    "scheme": (str, "central"),
-    "scheme.K": (int, 4),
-    "tol": (_p_float, 1e-8),
-    "max_iter": (int, 100),
-    "cfl": (_p_float, 0.8),
-    "eps": (_p_float, 0.05),
-    "eps_list": (_p_floats, (0.2, 0.1, 0.05, 0.025)),
-    "fixture": (str, "sign_change"),
-    "fixture.alpha": (_p_float, 1.0),
-    "fixture.beta": (_p_float, 2.0),
-    "fixture.angle": (_p_float, 22.5),
-    "fixture.amplitude": (_p_float, 0.002),
-    "fixture.dead_band": (_p_float, 0.1),
-    "fixture.c": (_p_float, 1.0),
-    "fixture.r": (_p_float, 0.4),
-    "fixture.gamma": (_p_float, 1.0),
-    "field": (str, None),
-    "radii": (_p_floats, None),  # None: _default_radii of the field's grid
-    "cone.theta": (_p_float, 60.0),
-    "cone.angle": (_p_float, None),
-    "rel_tol": (_p_float, 0.05),
-    "x0": (_p_pair, None),
-    "out": (str, "pucci_run"),
+    "command": (str, _one_of(COMMANDS), None),
+    "grid.nx": (int, GridSpec, 65),
+    "grid.extent": (_p_float, lambda v: GridSpec(5, v), 1.0),
+    "grid.origin": (_p_pair, None, (0.0, 0.0)),
+    "op": (str, _one_of(OP_SELECTORS), "G_eps"),
+    "family.minus": (str, _family, "full_pucci"),
+    "family.plus": (str, _family, "full_pucci"),
+    "family.r0": (_p_float, lambda v: _require(0.0 < v < 1.0, "must lie in (0, 1)", v), 0.5),
+    "ell.lambda": (_p_float, lambda v: Ellipticity(v, 1.0), 1.0),
+    "ell.Lambda": (_p_float, lambda v: Ellipticity(1.0, v), 2.0),
+    "scheme": (str, lambda v: SchemeSpec(v, 4), "central"),
+    "scheme.K": (int, lambda v: SchemeSpec("wide", v), 4),
+    "tol": (_p_float, lambda v: SolveConfig(tol=v), 1e-8),
+    "max_iter": (int, lambda v: SolveConfig(max_iter=v), 100),
+    "cfl": (_p_float, lambda v: SolveConfig(cfl=v), 0.8),
+    "eps": (_p_float, lambda v: SolveConfig(eps=v), 0.05),
+    "eps_list": (_p_floats, eps_ladder, (0.2, 0.1, 0.05, 0.025)),
+    "fixture": (str, _one_of(FIXTURES), "sign_change"),
+    "fixture.alpha": (_p_float, _positive, 1.0),
+    "fixture.beta": (_p_float, _positive, 2.0),
+    "fixture.angle": (_p_float, None, 22.5),
+    "fixture.amplitude": (_p_float, None, 0.002),
+    "fixture.dead_band": (_p_float, _positive, 0.1),
+    "fixture.c": (_p_float, _positive, 1.0),
+    "fixture.r": (_p_float, _positive, 0.4),
+    "fixture.gamma": (_p_float, _positive, 1.0),
+    "field": (str, None, None),
+    "radii": (_p_floats, _increasing, None),  # None: _default_radii of the field's grid
+    "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0.0, v), 60.0),
+    "cone.angle": (_p_float, None, None),
+    "rel_tol": (_p_float, lambda v: _require(v >= 0.0, "must be >= 0", v), 0.05),
+    "x0": (_p_pair, None, None),
+    "out": (str, None, "pucci_run"),
 }
 
 
@@ -163,7 +192,7 @@ def _fail(msg: str, line: int | None = None, key: str | None = None):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a line-oriented config document."""
-    table = {k: d for k, (_, d) in _KEYS.items()}
+    table = {k: d for k, (_, _, d) in _KEYS.items()}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -178,82 +207,37 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             _fail(f"duplicate key {key!r} (first set on line {seen[key]})", lineno, key)
         seen[key] = lineno
-        parser, _ = _KEYS[key]
+        parser, check, _ = _KEYS[key]
         try:
             table[key] = parser(value)
+            if check is not None:
+                check(table[key])
         except ValueError as exc:
             _fail(f"bad value for {key}: {exc}", lineno, key)
-        _check_key(key, table[key], lineno)
     _check_config(table, seen)
     return RunConfig(table)
 
 
-def _check_key(key: str, v, line: int):
-    if key == "command" and v not in COMMANDS:
-        _fail(f"command must be one of {', '.join(COMMANDS)}, got {v!r}", line, key)
-    elif key == "grid.nx" and v < 5:
-        _fail(f"grid.nx must be >= 5, got {v}", line, key)
-    elif key == "grid.extent" and not v > 0.0:
-        _fail(f"grid.extent must be positive, got {v}", line, key)
-    elif key == "op" and v not in OP_SELECTORS:
-        _fail(f"op must be one of {', '.join(OP_SELECTORS)}, got {v!r}", line, key)
-    elif key in ("family.minus", "family.plus") and v not in _CLI_FAMILIES:
-        _fail(
-            f"{key} must be one of {', '.join(_CLI_FAMILIES)} "
-            "(finite sets need explicit members and are not line-configurable), "
-            f"got {v!r}", line, key)
-    elif key == "family.r0" and not (0.0 < v < 1.0):
-        _fail(f"family.r0 must lie in (0, 1), got {v}", line, key)
-    elif key == "ell.lambda" and not (0.0 < v <= 1.0):
-        _fail(f"ell.lambda violates 0 < lambda <= 1, got {v}", line, key)
-    elif key == "ell.Lambda" and not v >= 1.0:
-        _fail(f"ell.Lambda must be >= 1, got {v}", line, key)
-    elif key == "scheme" and v not in ("central", "wide"):
-        _fail(f"scheme must be 'central' or 'wide', got {v!r}", line, key)
-    elif key == "scheme.K" and (v < 4 or v % 2 != 0):
-        _fail(f"scheme.K must be even and >= 4, got {v}", line, key)
-    elif key in ("tol", "eps") and not v > 0.0:
-        _fail(f"{key} must be positive, got {v}", line, key)
-    elif key == "cfl" and not (0.0 < v <= 1.0):
-        _fail(f"cfl must lie in (0, 1], got {v}", line, key)
-    elif key == "max_iter" and v < 1:
-        _fail(f"max_iter must be >= 1, got {v}", line, key)
-    elif key == "eps_list":
-        if any(not e > 0.0 for e in v):
-            _fail(f"eps_list entries must be positive, got {v}", line, key)
-        if any(b >= a for a, b in zip(v, v[1:])):
-            _fail(f"eps_list must be strictly decreasing, got {v}", line, key)
-    elif key == "fixture" and v not in FIXTURES:
-        _fail(f"fixture must be one of {', '.join(FIXTURES)}, got {v!r}", line, key)
-    elif key in _POSITIVE_FIXTURE_KEYS and not v > 0.0:
-        _fail(f"{key} must be positive, got {v}", line, key)
-    elif key == "radii":
-        if any(not r > 0.0 for r in v):
-            _fail(f"radii must be positive, got {v}", line, key)
-        if any(b <= a for a, b in zip(v, v[1:])):
-            _fail(f"radii must be strictly increasing, got {v}", line, key)
-    elif key == "cone.theta" and not (0.0 < v < 90.0):
-        _fail(f"cone.theta must lie in (0, 90) degrees, got {v}", line, key)
-    elif key == "rel_tol" and not v >= 0.0:
-        _fail(f"rel_tol must be >= 0, got {v}", line, key)
-
-
 def _check_config(table: dict, seen: dict):
     if table["command"] is None:
-        _fail("config must set 'command'")
+        _fail("config must set 'command'", key="command")
     # sign_change takes any amplitude, edge_bumps only a positive one
     if table["fixture"] == "edge_bumps" and not table["fixture.amplitude"] > 0.0:
         _fail(f"edge_bumps needs a positive fixture.amplitude, got {table['fixture.amplitude']}",
               seen["fixture.amplitude"], "fixture.amplitude")
+    # a fixture the command cannot run is blamed on its own line, or on the
+    # command's when the fixture is the default
+    blame = "fixture" if "fixture" in seen else "command"
     if table["command"] == "segregate" and table["fixture"] not in _PAIR_FIXTURES:
         _fail(
             f"segregate needs a two-species fixture ({', '.join(_PAIR_FIXTURES)}), "
-            f"got {table['fixture']!r}")
+            f"got {table['fixture']!r}", seen[blame], blame)
     scalar_needed = table["command"] in ("solve", "sweep") or (
         table["command"] == "diagnose" and table["field"] is None
     )
     if scalar_needed and table["fixture"] in _PAIR_FIXTURES:
-        _fail(f"{table['command']} needs a scalar fixture, got {table['fixture']!r}")
+        _fail(f"{table['command']} needs a scalar fixture, got {table['fixture']!r}",
+              seen[blame], blame)
 
 
 def _grid_spec(cfg: RunConfig) -> GridSpec:

@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, gradient_field,
-                   rescale_blowup)
-from .solver import lipschitz_seminorm
+                   lipschitz_seminorm, rescale_blowup)
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,21 @@ def gradient_field(fld: GridField) -> VectorField:
     return VectorField(fld.spec, gx, gy)
 
 
+def lipschitz_seminorm(fld: GridField) -> float:
+    """Max difference quotient |u(p) - u(q)| / |p - q| over 8-neighbor pairs."""
+    u = fld.values
+    h = fld.spec.h
+    quot = max(
+        np.abs(u[1:, :] - u[:-1, :]).max(initial=0.0),
+        np.abs(u[:, 1:] - u[:, :-1]).max(initial=0.0),
+    ) / h
+    diag = max(
+        np.abs(u[1:, 1:] - u[:-1, :-1]).max(initial=0.0),
+        np.abs(u[1:, :-1] - u[:-1, 1:]).max(initial=0.0),
+    ) / (h * np.sqrt(2.0))
+    return float(max(quot, diag))
+
+
 def _snap(f):
     """Cell fractions within _SNAP of 0 or 1, made exactly 0 or 1."""
     return np.where(np.abs(f) < _SNAP, 0.0, np.where(np.abs(f - 1.0) < _SNAP, 1.0, f))

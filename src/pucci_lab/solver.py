@@ -47,12 +47,12 @@ as fast as ``scipy.fft`` or faster, and ``scipy.fft``'s import alone took
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BlowupError, ConfigurationError, InputError
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, lipschitz_seminorm
 from .operators import (
     Ellipticity,
     OperatorPair,
@@ -94,7 +94,7 @@ class SolveConfig:
             raise ConfigurationError(f"eps must be positive when set, got {self.eps!r}")
 
     def with_eps(self, eps: float) -> "SolveConfig":
-        return SolveConfig(self.scheme, self.tol, self.max_iter, self.cfl, eps)
+        return replace(self, eps=eps)
 
 
 @dataclass
@@ -119,21 +119,6 @@ class SolveResult:
     @property
     def converged(self) -> bool:
         return self.telemetry["stop_reason"] == "tol"
-
-
-def lipschitz_seminorm(fld: GridField) -> float:
-    """Max difference quotient |u(p) - u(q)| / |p - q| over 8-neighbor pairs."""
-    u = fld.values
-    h = fld.spec.h
-    quot = max(
-        np.abs(u[1:, :] - u[:-1, :]).max(initial=0.0),
-        np.abs(u[:, 1:] - u[:, :-1]).max(initial=0.0),
-    ) / h
-    diag = max(
-        np.abs(u[1:, 1:] - u[:-1, :-1]).max(initial=0.0),
-        np.abs(u[1:, :-1] - u[:-1, 1:]).max(initial=0.0),
-    ) / (h * np.sqrt(2.0))
-    return float(max(quot, diag))
 
 
 def _blowup_error(arr: np.ndarray, spec: GridSpec) -> BlowupError:
@@ -493,6 +478,19 @@ class SweepReport:
         return all(e.converged for e in self.entries)
 
 
+def eps_ladder(eps_list) -> list[float]:
+    """``eps_list`` as floats, checked to be a continuation ladder: nonempty,
+    positive and strictly decreasing."""
+    eps_arr = [float(e) for e in eps_list]
+    if len(eps_arr) == 0:
+        raise ConfigurationError("eps_list must not be empty")
+    if any(not (e > 0.0) for e in eps_arr):
+        raise ConfigurationError(f"eps_list entries must be positive, got {eps_arr}")
+    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
+        raise ConfigurationError(f"eps_list must be strictly decreasing, got {eps_arr}")
+    return eps_arr
+
+
 def epsilon_sweep(
     boundary: GridField,
     eps_list,
@@ -506,15 +504,8 @@ def epsilon_sweep(
     A non-converged member is recorded and the sweep continues from its best
     iterate, so the report is complete but flagged.
     """
-    eps_arr = [float(e) for e in eps_list]
-    if len(eps_arr) == 0:
-        raise ConfigurationError("eps_list must not be empty")
-    if any(not (e > 0.0) for e in eps_arr):
-        raise ConfigurationError(f"eps_list entries must be positive, got {eps_arr}")
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ConfigurationError(f"eps_list must be strictly decreasing, got {eps_arr}")
     report = SweepReport([], [], [])
-    for e in eps_arr:
+    for e in eps_ladder(eps_list):
         warm = report.limit if report.fields else initial
         res = solve_dirichlet(boundary, "G_eps", cfg.with_eps(e), pair=pair, initial=warm)
         report.entries.append(

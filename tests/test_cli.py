@@ -7,18 +7,23 @@ import numpy as np
 import pytest
 
 from pucci_lab import (
+    ConeSpec,
+    ConfigurationError,
     Ellipticity,
     GridField,
     GridSpec,
     MatrixFamily,
     OperatorPair,
     ParseError,
+    SchemeSpec,
+    SolveConfig,
     SymMat2,
     cli,
     field_from_csv,
     field_to_csv,
     lipschitz_seminorm,
     make_fixture,
+    solver,
 )
 
 
@@ -74,13 +79,38 @@ def test_parse_errors_name_key_and_line():
         cli.parse_config("command = solve\njust words\n")
 
 
-def test_parse_cfl_range_matches_solve_config():
-    assert cli.parse_config("command = solve\ncfl = 1\n")["cfl"] == 1.0
-    for bad in ("1.5", "0"):
+# each key whose rule the library states, its boundary values the library
+# accepts, the values just outside its range, and the library object it builds
+_LIBRARY_RANGES = [
+    ("grid.nx", ("5",), ("4",), lambda v: GridSpec(int(v))),
+    ("grid.extent", ("1e-3",), ("0", "-1"), lambda v: GridSpec(5, float(v))),
+    ("ell.lambda", ("1",), ("1.001", "0"), lambda v: Ellipticity(float(v), 1.0)),
+    ("ell.Lambda", ("1",), ("0.999",), lambda v: Ellipticity(1.0, float(v))),
+    ("scheme", ("wide", "central"), ("upwind",), lambda v: SchemeSpec(v, 4)),
+    ("scheme.K", ("4", "6"), ("2", "5"), lambda v: SchemeSpec("wide", int(v))),
+    ("tol", ("1e-300",), ("0",), lambda v: SolveConfig(tol=float(v))),
+    ("max_iter", ("1",), ("0",), lambda v: SolveConfig(max_iter=int(v))),
+    ("cfl", ("1",), ("1.5", "0"), lambda v: SolveConfig(cfl=float(v))),
+    ("eps", ("1e-300",), ("0",), lambda v: SolveConfig(eps=float(v))),
+    ("eps_list", ("0.2",), ("0.1,0.1", "0.1,0"),
+     lambda v: solver.eps_ladder(float(e) for e in v.split(","))),
+    ("cone.theta", ("89.9",), ("90", "0"), lambda v: ConeSpec.from_degrees(0.0, float(v))),
+]
+
+
+@pytest.mark.parametrize("key, goods, bads, build", _LIBRARY_RANGES,
+                         ids=[case[0] for case in _LIBRARY_RANGES])
+def test_parse_range_matches_the_library(key, goods, bads, build):
+    for good in goods:
+        build(good)
+        cli.parse_config(f"command = solve\n{key} = {good}\n")
+    for bad in bads:
+        with pytest.raises(ConfigurationError) as lib:
+            build(bad)
         with pytest.raises(ParseError) as exc:
-            cli.parse_config(f"command = solve\ncfl = {bad}\n")
-        assert exc.value.key == "cfl"
-        assert exc.value.line == 2
+            cli.parse_config(f"command = solve\n{key} = {bad}\n")
+        assert (exc.value.key, exc.value.line) == (key, 2)
+        assert str(lib.value) in str(exc.value)
 
 
 @pytest.mark.parametrize("fixture, key, bad", [
@@ -135,10 +165,17 @@ def test_parse_eps_list_ordering():
 
 
 def test_parse_fixture_command_compatibility():
-    with pytest.raises(ParseError):
-        cli.parse_config("command = segregate\nfixture = sign_change\n")
-    with pytest.raises(ParseError):
-        cli.parse_config("command = solve\nfixture = split_supports\n")
+    for text, key, line in (
+        ("command = segregate\nfixture = sign_change\n", "fixture", 2),
+        ("command = solve\nfixture = split_supports\n", "fixture", 2),
+        ("fixture = edge_bumps\ngrid.nx = 33\ncommand = diagnose\n", "fixture", 1),
+        # the default fixture (sign_change) is blamed on the command line
+        ("grid.nx = 33\ncommand = segregate\n", "command", 2),
+        ("grid.nx = 33\n", "command", None),
+    ):
+        with pytest.raises(ParseError) as exc:
+            cli.parse_config(text)
+        assert (exc.value.key, exc.value.line) == (key, line)
     cli.parse_config("command = segregate\nfixture = edge_bumps\n")
 
 

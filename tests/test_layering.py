@@ -1,0 +1,25 @@
+"""Import layering: the interface diagnostics read fields, so they import
+from the package's error and grid modules only, never from the operators or
+the solver."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "pucci_lab")
+
+
+@pytest.mark.parametrize("module", ["freeboundary", "monotonicity"])
+def test_diagnostics_import_only_errors_and_grid(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level > 0 or name.startswith("pucci_lab"):
+                internal.add(name)
+        elif isinstance(node, ast.Import):
+            internal.update(a.name for a in node.names if a.name.startswith("pucci_lab"))
+    assert internal <= {".errors", ".grid"}, internal
