@@ -19,10 +19,11 @@ Derivatives*, 1973), ported step for step from SciPy's bounded
 
 "Sup over a ball" quantities are evaluated by dense bilinear sampling on
 polar point sets whose resolution doubles until the sup stabilizes.  Each
-level samples u once; the sups of |u|, u+, u- and u itself all come from
-that one sample set's max and min, each quantity keeping its own stopping
-rule.  Cone monotonicity translates its whole node window at once: one
-constant shift is one bilinear combination of four shifted slices.
+level samples u once for every radius still refining; the sups of |u|, u+,
+u- and u itself at each radius all come from that radius's share of the one
+sample set, each radius and quantity keeping its own stopping rule.  Cone
+monotonicity translates its whole node window at once: one constant shift is
+one bilinear combination of four shifted slices.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, gradient_field,
-                   lipschitz_seminorm, rescale_blowup)
+from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, blowup_stack,
+                   gradient_field, lipschitz_seminorm)
 
 
 @dataclass(frozen=True)
@@ -92,9 +93,11 @@ class ConeSpec:
         norm = math.hypot(*self.axis)
         if abs(norm - 1.0) > 1e-9:
             raise ConfigurationError(f"cone axis must be a unit vector, |axis| = {norm!r}")
-        if not (0.0 < self.theta < math.pi / 2.0):
+        top = math.pi / 2.0
+        if not (0.0 < self.theta < top):
             raise ConfigurationError(
-                f"semi-opening must lie in (0, pi/2), got {self.theta!r}"
+                f"semi-opening must lie in (0, {math.degrees(top):g}) degrees, got "
+                f"{math.degrees(self.theta):g} degrees ({self.theta!r} rad)"
             )
 
     @staticmethod
@@ -245,31 +248,34 @@ def _polar_offsets(rad: float, n_dir: int, n_rad: int):
     return np.concatenate([np.zeros((1, 2)), flat], axis=0)
 
 
-def _ball_sups(u: GridField, x0, r: float, modes, tol: float) -> tuple[float, ...]:
-    """Sup over the closed ball B_r(x0) of each mode's quantity, from one
-    polar sample set s per level: raw = max s, plus = max(max s, 0),
-    minus = max(-min s, 0), abs = max(plus, minus).  Angular and radial
-    resolution double; each mode stops once its sup moves by less than
-    ``tol``, and the sampling stops when every mode has."""
-    found: dict[str, float] = {}
-    prev = None
+def _ball_sups(u: GridField, x0, radii, modes, tols) -> list[tuple[float, ...]]:
+    """Per radius r_k, the sup over the closed ball B_{r_k}(x0) of each mode's
+    quantity, from one polar sample set s per level: raw = max s, plus =
+    max(max s, 0), minus = max(-min s, 0), abs = max(plus, minus).  Angular
+    and radial resolution double; a radius's mode stops once its sup moves by
+    less than ``tols[k]``, and the radius drops out when all its modes have.
+    Each level samples every radius still refining in one call."""
+    found: list[dict[str, float]] = [{} for _ in radii]
+    prev: list[dict[str, float] | None] = [None] * len(radii)
+    live = list(range(len(radii)))
     n_dir, n_rad = 16, 4
     for _ in range(7):
-        off = _polar_offsets(r, n_dir, n_rad)
-        s = bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1])
-        raw = float(np.max(s))
-        plus = max(raw, 0.0)
-        minus = max(-float(np.min(s)), 0.0)
-        cur = {"raw": raw, "plus": plus, "minus": minus, "abs": max(plus, minus)}
-        for m in modes:
-            if m not in found and prev is not None and abs(cur[m] - prev[m]) < tol:
-                found[m] = max(cur[m], prev[m])
-        if len(found) == len(modes):
+        off = np.concatenate([_polar_offsets(radii[k], n_dir, n_rad) for k in live])
+        s = bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1]).reshape(len(live), -1)
+        for k, hi, lo in zip(live, s.max(axis=1).tolist(), s.min(axis=1).tolist()):
+            plus, minus = max(hi, 0.0), max(-lo, 0.0)
+            cur = {"raw": hi, "plus": plus, "minus": minus, "abs": max(plus, minus)}
+            last = prev[k]
+            for m in modes:
+                if m not in found[k] and last is not None and abs(cur[m] - last[m]) < tols[k]:
+                    found[k][m] = max(cur[m], last[m])
+            prev[k] = cur
+        live = [k for k in live if len(found[k]) < len(modes)]
+        if not live:
             break
-        prev = cur
         n_dir *= 2
         n_rad *= 2
-    return tuple(found.get(m, prev[m]) for m in modes)
+    return [tuple(f.get(m, p[m]) for m in modes) for f, p in zip(found, prev)]
 
 
 def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = None) -> float:
@@ -278,8 +284,9 @@ def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = 
     mode selects the sampled quantity: "abs" for |u|, "plus" / "minus" for
     the phases, "raw" for u itself.  Angular and radial resolution double
     until the sup moves by less than ``tol`` (default 1e-3 Lip(u) r).  Each
-    level's sample set serves every mode; :func:`classify_regular` takes
-    three modes from one sampling.
+    level's sample set serves every mode and every radius;
+    :func:`classify_regular` takes three modes at all its radii from one
+    sampling.
     """
     if mode not in ("abs", "plus", "minus", "raw"):
         raise ConfigurationError(f"unknown ball_sup mode {mode!r}")
@@ -287,7 +294,7 @@ def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = 
         raise InputError(f"radius must be positive, got {r!r}")
     if tol is None:
         tol = 1e-3 * lipschitz_seminorm(u) * r
-    return _ball_sups(u, x0, r, (mode,), tol)[0]
+    return _ball_sups(u, x0, (r,), (mode,), (tol,))[0][0]
 
 
 def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> RegularityRecord:
@@ -304,8 +311,9 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
         # point; Lip / 2 still fails quadratic growth, M ~ |D^2 u| min(radii)
         m_min = min(10.0 * u.spec.h * lip / float(radii.min()), 0.5 * lip)
 
-    sup_abs, sup_pos, sup_neg = np.array(
-        [_ball_sups(u, x0, r, ("abs", "plus", "minus"), 1e-3 * lip * r) for r in radii]).T
+    rs = radii.tolist()
+    sups = _ball_sups(u, x0, rs, ("abs", "plus", "minus"), [1e-3 * lip * r for r in rs])
+    sup_abs, sup_pos, sup_neg = np.array(sups).T
     M = float((sup_abs / radii).min())
     growth = np.concatenate([sup_pos / radii, sup_neg / radii])
     c_lower = float(growth.min())
@@ -423,10 +431,9 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
     XI, ETA = _BLOWUP_SPEC.node_coords()
     rho = np.hypot(XI, ETA)
     fits = []
-    for r in radii:
-        ur_f = rescale_blowup(u, x0, r, _BLOWUP_SPEC)
+    for r, ur_f in zip(radii, blowup_stack(u, x0, radii, _BLOWUP_SPEC)):
         mask = (rho <= 1.0) & (rho >= 4.0 * u.spec.h / r)
-        xi, eta, ur = XI[mask], ETA[mask], ur_f.values[mask]
+        xi, eta, ur = XI[mask], ETA[mask], ur_f[mask]
 
         def sse(phi):
             return float(np.sum(_fit_at_angle(xi, eta, ur, phi)[2] ** 2))

@@ -11,6 +11,11 @@ Conventions
   ``GridSpec.boundary_ring()``; a field's ``boundary_mask`` is that ring,
   derived from its spec.
 
+A field's values are read-only, so whole-field results derived from them
+(the Lipschitz seminorm, the gradient, the J_r cell energies) are computed on
+first use and read back from the field's memo after that; :func:`derived`
+is the one way into that memo.
+
 CSV exchange writes one ``x,y,value`` row per node in row-major order with
 17 significant digits (lossless for binary64) and a JSON sidecar recording
 ``nx``, ``extent`` and ``origin``.
@@ -18,6 +23,7 @@ CSV exchange writes one ``x,y,value`` row per node in row-major order with
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -93,13 +99,22 @@ class GridSpec:
 
 @dataclass
 class GridField:
-    """Scalar samples on a :class:`GridSpec`."""
+    """Scalar samples on a :class:`GridSpec`; the values are a read-only,
+    C-contiguous float array (a caller's array of that kind is kept and
+    marked read-only, any other is copied once)."""
 
     spec: GridSpec
     values: np.ndarray
 
+    def __setattr__(self, name, value):
+        if name == "values":
+            value = np.ascontiguousarray(value, dtype=float)
+            value.flags.writeable = False
+        object.__setattr__(self, name, value)
+        # derived data belongs to one spec and one values array
+        object.__setattr__(self, "_memo", {})
+
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.spec.nx, self.spec.nx):
             raise InputError(
                 f"values shape {self.values.shape} does not match nx={self.spec.nx}"
@@ -143,8 +158,22 @@ def make_grid(spec: GridSpec, boundary_fn) -> GridField:
     return GridField(spec, values)
 
 
+def derived(compute):
+    """Decorate a function of a field alone whose result no caller writes to:
+    the result is computed on the first call for a field and read from the
+    field's memo after that, keyed by the decorated (importable) function."""
+    @functools.wraps(compute)
+    def memoized(fld: GridField):
+        if memoized not in fld._memo:
+            fld._memo[memoized] = compute(fld)
+        return fld._memo[memoized]
+    return memoized
+
+
+@derived
 def gradient_field(fld: GridField) -> VectorField:
-    """Central differences in the interior, second-order one-sided on the ring."""
+    """Central differences in the interior, second-order one-sided on the
+    ring; read-only arrays."""
     u = fld.values
     h = fld.spec.h
     gx = np.empty_like(u)
@@ -155,9 +184,11 @@ def gradient_field(fld: GridField) -> VectorField:
     gy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
     gy[:, 0] = (-3 * u[:, 0] + 4 * u[:, 1] - u[:, 2]) / (2 * h)
     gy[:, -1] = (3 * u[:, -1] - 4 * u[:, -2] + u[:, -3]) / (2 * h)
+    gx.flags.writeable = gy.flags.writeable = False
     return VectorField(fld.spec, gx, gy)
 
 
+@derived
 def lipschitz_seminorm(fld: GridField) -> float:
     """Max difference quotient |u(p) - u(q)| / |p - q| over 8-neighbor pairs."""
     u = fld.values
@@ -173,9 +204,13 @@ def lipschitz_seminorm(fld: GridField) -> float:
     return float(max(quot, diag))
 
 
-def _snap(f):
-    """Cell fractions within _SNAP of 0 or 1, made exactly 0 or 1."""
-    return np.where(np.abs(f) < _SNAP, 0.0, np.where(np.abs(f - 1.0) < _SNAP, 1.0, f))
+def _snap(f: np.ndarray) -> np.ndarray:
+    """Cell fractions within _SNAP of 0 or 1 made exactly 0 or 1, then
+    clipped to [0, 1], in place (by ufuncs: np.clip costs more per call than
+    a small sample's arithmetic)."""
+    f[np.abs(f) < _SNAP] = 0.0
+    f[np.abs(f - 1.0) < _SNAP] = 1.0
+    return np.minimum(np.maximum(f, 0.0, out=f), 1.0, out=f)
 
 
 def bilinear_sample(fld: GridField, x, y):
@@ -190,27 +225,26 @@ def bilinear_sample(fld: GridField, x, y):
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.atleast_1d(x), np.atleast_1d(y)
-    inside = spec.contains(x, y)
-    if not np.all(inside):
-        bad = np.argwhere(~inside)[0]
+    # the extremes are inside iff every point is; the origin seeds them, so
+    # an empty sample passes
+    ox, oy = spec.origin
+    if not np.all(spec.contains([x.min(initial=ox), x.max(initial=ox)],
+                                [y.min(initial=oy), y.max(initial=oy)])):
+        bad = np.argwhere(~spec.contains(x, y))[0]
         raise DomainError(
             f"sample point ({x.flat[bad[0]]:g}, {y.flat[bad[0]]:g}) lies outside the grid extent"
         )
-    tx = (x - spec.origin[0]) / spec.h
-    ty = (y - spec.origin[1]) / spec.h
-    i0 = np.clip(np.floor(tx).astype(int), 0, spec.nx - 2)
-    j0 = np.clip(np.floor(ty).astype(int), 0, spec.nx - 2)
-    fx = tx - i0
-    fy = ty - j0
-    fx = np.clip(_snap(fx), 0.0, 1.0)
-    fy = np.clip(_snap(fy), 0.0, 1.0)
-    u = fld.values
-    out = (
-        (1 - fx) * (1 - fy) * u[i0, j0]
-        + fx * (1 - fy) * u[i0 + 1, j0]
-        + (1 - fx) * fy * u[i0, j0 + 1]
-        + fx * fy * u[i0 + 1, j0 + 1]
-    )
+    nx = spec.nx
+    tx = (x - ox) / spec.h
+    ty = (y - oy) / spec.h
+    i0 = np.minimum(np.maximum(np.floor(tx).astype(int), 0), nx - 2)
+    j0 = np.minimum(np.maximum(np.floor(ty).astype(int), 0), nx - 2)
+    fx, fy = _snap(tx - i0), _snap(ty - j0)
+    gx, gy = 1 - fx, 1 - fy
+    u = fld.values.ravel()
+    k = i0 * nx + j0
+    out = (gx * gy * u.take(k) + fx * gy * u.take(k + nx)
+           + gx * fy * u.take(k + 1) + fx * fy * u.take(k + nx + 1))
     return float(out[0]) if scalar else out
 
 
@@ -226,10 +260,10 @@ def bilinear_shift(fld: GridField, rows: slice, cols: slice, dx: float, dy: floa
     stays in the array.  A block translated off the grid raises
     :class:`DomainError`.
     """
+    t = np.array([dx, dy]) / fld.spec.h
     axes = []
-    for t, block in ((dx / fld.spec.h, rows), (dy / fld.spec.h, cols)):
-        k = int(np.floor(t))
-        f = float(_snap(t - k))
+    for k, f, block in zip(np.floor(t).tolist(), _snap(t - np.floor(t)).tolist(), (rows, cols)):
+        k = int(k)
         if f == 1.0:
             k, f = k + 1, 0.0
         if block.start + k < 0 or block.stop + k + (f > 0.0) > fld.spec.nx:
@@ -249,27 +283,34 @@ def rescale_blowup(fld: GridField, x0, r: float, out_spec: GridSpec) -> GridFiel
     Requires the ball of radius ``2 r`` around ``x0`` to sit inside the
     domain square, so every rescaling stays well clear of the ring.
     """
-    if not (r > 0) or not np.isfinite(r):
-        raise InputError(f"blow-up radius must be positive, got {r!r}")
+    return GridField(out_spec, blowup_stack(fld, x0, (r,), out_spec)[0])
+
+
+def blowup_stack(fld: GridField, x0, radii, out_spec: GridSpec) -> np.ndarray:
+    """The values of :func:`rescale_blowup` at each of ``radii``, shape
+    ``(len(radii), nx, nx)``, from one sampling call."""
     x0 = (float(x0[0]), float(x0[1]))
-    fld.spec.require_ball(x0, 2 * r)
+    for r in radii:
+        if not (r > 0) or not np.isfinite(r):
+            raise InputError(f"blow-up radius must be positive, got {r!r}")
+        fld.spec.require_ball(x0, 2 * r)
     XI, ETA = out_spec.node_coords()
-    vals = bilinear_sample(fld, x0[0] + r * XI.ravel(), x0[1] + r * ETA.ravel())
-    return GridField(out_spec, np.asarray(vals).reshape(XI.shape) / r)
+    rs = np.asarray(radii, dtype=float)[:, None]
+    vals = bilinear_sample(fld, x0[0] + rs * XI.ravel(), x0[1] + rs * ETA.ravel())
+    return (vals / rs).reshape(len(rs), *XI.shape)
 
 
 def field_to_csv(fld: GridField, path) -> None:
     """Write ``x,y,value`` rows (row-major) plus a JSON sidecar with the spec."""
     spec = fld.spec
-    ys = [f"{y:.17g}," for y in spec.ys.tolist()]
+    # one %-template a row: y formatted once a column, x put in at each "\0";
+    # a row at a time, since Python floats for the whole grid would raise the
+    # peak memory by 32 bytes a value
+    col = "".join([f"\0{y:.17g},%.17g\n" for y in spec.ys.tolist()])
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        # x formatted once a row, y once a column; a row at a time, since
-        # Python floats for the whole grid would raise the peak memory by 32
-        # bytes a value
         for x, vs in zip(spec.xs.tolist(), fld.values):
-            xc = f"{x:.17g},"
-            fh.write("".join([f"{xc}{y}{v:.17g}\n" for y, v in zip(ys, vs.tolist())]))
+            fh.write((col % tuple(vs.tolist())).replace("\0", f"{x:.17g},"))
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(
             {"nx": spec.nx, "extent": spec.extent, "origin": list(spec.origin)},

@@ -16,9 +16,10 @@ ball.  Phase splitting does not clip node values (clipping pollutes every
 interface cell's gradient): cells are weighted by the area fraction of the
 positive region under the cell's bilinear interpolant, and interface cells
 take their gradient from the neighbor cell 1.5 h into the respective phase,
-so a straight interface contributes the exact one-sided slope.  The series
-check works on the cell window of the largest ball only, read with the two
-cells on each side that this lookup can reach, so its cost follows the
+so a straight interface contributes the exact one-sided slope.  These
+per-cell energies are computed once per field, over the whole grid, by the
+first series check on it; each check then sums the cell window of its
+largest ball only, so after that first whole-grid pass its cost follows the
 largest radius, not the grid.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, derived
 
 VERDICTS = ("PASS", "FAIL", "DEGENERATE")
 
@@ -144,6 +145,27 @@ def _displaced_cell_index(ix, iy, nx_cells, gx, gy, side: float):
     return jx, jy
 
 
+@derived
+def _phase_energies(u: GridField):
+    """Per-cell one-sided energies on the whole grid, frac |grad|^2 for the
+    positive phase and (1 - frac) |grad|^2 for the negative; an interface
+    cell reads each phase's energy from its displaced neighbor; read-only."""
+    gx, gy = _cell_gradients(u.values, u.spec.h)
+    energy = gx * gx + gy * gy
+    frac = positive_cell_fraction(u.values)
+    mixed = (frac > 0.0) & (frac < 1.0)
+    e1 = np.where(frac > 0.0, energy, 0.0)
+    e2 = np.where(frac < 1.0, energy, 0.0)
+    ix, iy = np.nonzero(mixed)
+    for e, side in ((e1, +1.0), (e2, -1.0)):
+        jx, jy = _displaced_cell_index(ix, iy, u.spec.nx - 1, gx[mixed], gy[mixed], side)
+        e[ix, iy] = energy[jx, jy]
+    e1 *= frac
+    e2 *= 1.0 - frac
+    e1.flags.writeable = e2.flags.writeable = False
+    return e1, e2
+
+
 def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     """J_r series of the positive/negative parts plus the monotonicity verdict.
 
@@ -161,37 +183,15 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     u.spec.require_ball(x0, float(radii[-1]))
 
     h = u.spec.h
-    n_cells = u.spec.nx - 1
     half_diag = h * math.sqrt(0.5)
     # only cells whose center lies within r_max + h/sqrt(2) of x0 carry
     # weight (one more cell absorbs rounding): the quadrature runs on that
-    # window [lo, hi) of cells, read from a node block two cells wider on
-    # each side, as far as the 1.5 h displaced-neighbor lookup reaches
+    # window [lo, hi) of the field's cell energies
     t = (np.asarray(x0, dtype=float) - u.spec.origin) / h
     reach = (float(radii[-1]) + half_diag + h) / h
     lo = np.maximum(np.floor(t - reach).astype(int), 0)
-    hi = np.minimum(np.ceil(t + reach).astype(int), n_cells)
-    b_lo = np.maximum(lo - 2, 0)
-    b_hi = np.minimum(hi + 2, n_cells)
-    block = u.values[b_lo[0]:b_hi[0] + 1, b_lo[1]:b_hi[1] + 1]
-    core = tuple(slice(a, b) for a, b in zip(lo - b_lo, hi - b_lo))
-    gx, gy = _cell_gradients(block, h)
-    energy = gx * gx + gy * gy
-    frac = positive_cell_fraction(block[core[0].start:core[0].stop + 1,
-                                        core[1].start:core[1].stop + 1])
-
-    # interface cells read their one-sided energies from displaced neighbors,
-    # indexed on the whole grid (clipped at its edge) and then in the block
-    mixed = (frac > 0.0) & (frac < 1.0)
-    e_pos = np.where(frac > 0.0, energy[core], 0.0)
-    e_neg = np.where(frac < 1.0, energy[core], 0.0)
-    if np.any(mixed):
-        ix, iy = np.nonzero(mixed)
-        mgx, mgy = gx[core][mixed], gy[core][mixed]
-        jx, jy = _displaced_cell_index(ix + lo[0], iy + lo[1], n_cells, mgx, mgy, +1.0)
-        e_pos[ix, iy] = energy[jx - b_lo[0], jy - b_lo[1]]
-        jx, jy = _displaced_cell_index(ix + lo[0], iy + lo[1], n_cells, mgx, mgy, -1.0)
-        e_neg[ix, iy] = energy[jx - b_lo[0], jy - b_lo[1]]
+    hi = np.minimum(np.ceil(t + reach).astype(int), u.spec.nx - 1)
+    e1, e2 = (e[lo[0]:hi[0], lo[1]:hi[1]] for e in _phase_energies(u))
 
     cx, cy = _cell_centers(u.spec, lo, hi)
     dist = np.hypot(cx - x0[0], cy - x0[1])
@@ -199,8 +199,6 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     # center-in-ball rule wobbles by (h/r)^2, which at the smallest radius of
     # a desk-scale schedule is the same size as the monotonicity slack
     sub = ((np.arange(8) + 0.5) / 8.0 - 0.5) * h
-    e1 = frac * e_pos
-    e2 = (1.0 - frac) * e_neg
     j1 = np.empty(radii.shape)
     j2 = np.empty(radii.shape)
     for k, r in enumerate(radii):

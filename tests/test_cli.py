@@ -111,6 +111,9 @@ def test_parse_range_matches_the_library(key, goods, bads, build):
             cli.parse_config(f"command = solve\n{key} = {bad}\n")
         assert (exc.value.key, exc.value.line) == (key, 2)
         assert str(lib.value) in str(exc.value)
+        if key == "cone.theta":
+            # the rule is stated in the degrees the key is written in
+            assert f"got {bad} degrees" in str(exc.value)
 
 
 @pytest.mark.parametrize("fixture, key, bad", [

@@ -222,6 +222,32 @@ def test_ball_sup_shared_samples_match_single_mode_loops():
     assert rec.C_upper == max(growth)
 
 
+def test_classify_regular_samples_all_radii_in_one_call_per_level(monkeypatch):
+    # the bumps of the field above make the radii stop refining at different
+    # levels; each radius keeps its own stopping rule in the shared sampling
+    g = GridSpec(129)
+    xx, yy = g.node_coords()
+    u = GridField(g, (xx - 0.5) + 3.0 * np.exp(-((xx - 0.62) ** 2 + (yy - 0.53) ** 2) / 0.02 ** 2)
+                  - 2.5 * np.exp(-((xx - 0.41) ** 2 + (yy - 0.37) ** 2) / 0.014 ** 2))
+    x0, radii, modes = (0.5, 0.5), (0.05, 0.1, 0.15, 0.2), ("abs", "plus", "minus")
+    lip = lipschitz_seminorm(u)
+    sups = {(m, r): ball_sup(u, x0, r, m, tol=1e-3 * lip * r) for m in modes for r in radii}
+    stop = {r: max(_single_mode_sup(u, x0, r, m, 1e-3 * lip * r)[1] for m in modes)
+            for r in radii}
+    assert len(set(stop.values())) >= 2 and max(stop.values()) < 7
+    calls = []
+    sample = freeboundary.bilinear_sample
+    monkeypatch.setattr(freeboundary, "bilinear_sample",
+                        lambda *args: calls.append(args) or sample(*args))
+    rec = classify_regular(u, x0, radii)
+    # levels 0 .. the last radius's stopping level, then the zero density
+    assert len(calls) == max(stop.values()) + 2
+    assert rec.M == min(sups["abs", r] / r for r in radii)
+    growth = [sups[m, r] / r for m in ("plus", "minus") for r in radii]
+    assert rec.c_lower == min(growth)
+    assert rec.C_upper == max(growth)
+
+
 def test_classify_regular_even_plane():
     g = GridSpec(129)
     u = make_fixture(g, "two_plane", alpha=1.0, beta=1.0, angle=20.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pucci_lab import (
     ConfigurationError,
@@ -11,9 +13,11 @@ from pucci_lab import (
     field_from_csv,
     field_to_csv,
     gradient_field,
+    lipschitz_seminorm,
     make_grid,
     rescale_blowup,
 )
+from pucci_lab.grid import _SNAP
 
 
 def test_spec_geometry():
@@ -124,6 +128,99 @@ def test_bilinear_sample_scalar_and_outside():
         bilinear_sample(fld, 1.2, 0.5)
     with pytest.raises(DomainError):
         bilinear_sample(fld, np.array([0.5, -0.1]), np.array([0.5, 0.5]))
+
+
+def _reference_sample(fld, x, y):
+    """Bilinear sampling as first written, with elementwise range masks,
+    fractions snapped by np.where and clipped by np.clip, and corners read by
+    2-D fancy indexing: the reference the leaner form matches bit for bit."""
+    spec = fld.spec
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    scalar = x.ndim == 0 and y.ndim == 0
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    inside = spec.contains(x, y)
+    if not np.all(inside):
+        bad = np.argwhere(~inside)[0]
+        raise DomainError(
+            f"sample point ({x.flat[bad[0]]:g}, {y.flat[bad[0]]:g}) lies outside the grid extent"
+        )
+
+    def snap(f):
+        return np.where(np.abs(f) < _SNAP, 0.0, np.where(np.abs(f - 1.0) < _SNAP, 1.0, f))
+
+    tx = (x - spec.origin[0]) / spec.h
+    ty = (y - spec.origin[1]) / spec.h
+    i0 = np.clip(np.floor(tx).astype(int), 0, spec.nx - 2)
+    j0 = np.clip(np.floor(ty).astype(int), 0, spec.nx - 2)
+    fx = np.clip(snap(tx - i0), 0.0, 1.0)
+    fy = np.clip(snap(ty - j0), 0.0, 1.0)
+    u = fld.values
+    out = ((1 - fx) * (1 - fy) * u[i0, j0] + fx * (1 - fy) * u[i0 + 1, j0]
+           + (1 - fx) * fy * u[i0, j0 + 1] + fx * fy * u[i0 + 1, j0 + 1])
+    return float(out[0]) if scalar else out
+
+
+@settings(max_examples=300, deadline=None)
+@given(nx=st.integers(5, 40), extent=st.floats(0.01, 100.0),
+       origin=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+       kind=st.sampled_from(["node", "edge", "slack", "random", "outside"]),
+       shape=st.sampled_from(["scalar", "flat", "outer"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bilinear_sample_matches_reference_bit_for_bit(nx, extent, origin, kind, shape, seed):
+    g = GridSpec(nx, extent, origin)
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(nx, nx)) * 10.0 ** rng.integers(-300, 300)
+    vals[rng.integers(nx), rng.integers(nx)] = -0.0
+    fld = GridField(g, vals)
+    n = int(rng.integers(1, 12))
+    lo = np.array(origin)
+    pick = {
+        "node": lambda: lo + g.h * rng.integers(0, nx, size=(n, 2)),
+        "edge": lambda: np.where(rng.random((n, 2)) < 0.5, lo + g.h * rng.integers(0, nx, (n, 2)),
+                                 lo + extent * rng.random((n, 2))),
+        # within the rounding slack outside a wall, or on it
+        "slack": lambda: lo + np.where(rng.random((n, 2)) < 0.5, -1.0, extent + 0.0)
+        + np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0) * _SNAP * extent * rng.random((n, 2)),
+        "random": lambda: lo + extent * rng.random((n, 2)),
+        "outside": lambda: lo + extent * rng.uniform(-0.5, 1.5, size=(n, 2)),
+    }[kind]()
+    x, y = pick[:, 0], pick[:, 1]
+    if shape == "scalar":
+        x, y = float(x[0]), float(y[0])
+    elif shape == "outer":
+        x, y = x[:, None], y[None, :]
+    try:
+        ref = _reference_sample(fld, x, y)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            bilinear_sample(fld, x, y)
+        assert str(got.value) == str(exc)
+        return
+    out = bilinear_sample(fld, x, y)
+    assert type(out) is type(ref)
+    assert np.asarray(out).shape == np.asarray(ref).shape
+    assert np.asarray(out).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_field_values_are_read_only_and_their_memo_follows_them():
+    g = GridSpec(9)
+    vals = np.zeros((9, 9))
+    fld = GridField(g, vals)
+    with pytest.raises(ValueError):
+        fld.values[1, 1] = 1.0
+    # the caller's array is the field's values, so it is read-only as well
+    with pytest.raises(ValueError):
+        vals[1, 1] = 1.0
+    assert lipschitz_seminorm(fld) == 0.0
+    # new values drop what was derived from the old ones
+    X, _ = g.node_coords()
+    fld.values = 3.0 * X
+    assert not fld.values.flags.writeable
+    assert lipschitz_seminorm(fld) == pytest.approx(3.0, rel=1e-12)
+    # a strided array is copied once into a C-contiguous one
+    strided = GridField(g, np.ones((9, 18))[:, ::2])
+    assert strided.values.flags.c_contiguous and not strided.values.flags.writeable
 
 
 def test_rescale_blowup_linear_invariance():

@@ -1,6 +1,6 @@
 """Import layering: the interface diagnostics read fields, so they import
 from the package's error and grid modules only, never from the operators or
-the solver."""
+the solver; and a field's memo of derived data is grid.py's alone."""
 
 import ast
 import os
@@ -23,3 +23,20 @@ def test_diagnostics_import_only_errors_and_grid(module):
         elif isinstance(node, ast.Import):
             internal.update(a.name for a in node.names if a.name.startswith("pucci_lab"))
     assert internal <= {".errors", ".grid"}, internal
+
+
+def _memo_references(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "_memo")
+            or (isinstance(node, ast.Constant) and node.value == "_memo")]
+
+
+def test_field_memo_is_reached_only_through_grid():
+    # what is memoized and when it is dropped is decided in one module; the
+    # others decorate with grid.derived
+    modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+    assert _memo_references("grid")
+    outside = {m: _memo_references(m) for m in modules if m != "grid"}
+    assert not any(outside.values()), outside

@@ -18,6 +18,7 @@ from pucci_lab import (
     positive_cell_fraction,
     series_to_csv,
 )
+from pucci_lab import monotonicity
 from pucci_lab.monotonicity import (_cell_gradients, _displaced_cell_index,
                                    _tri_positive_fraction)
 
@@ -186,6 +187,23 @@ def test_series_window_matches_whole_grid():
             j = j1 * j2
             worst = max(0.0, float(np.max((j[:-1] - j[1:]) / j[:-1])))
             assert verdict.verdict == ("PASS" if worst <= 0.02 else "FAIL")
+
+
+def test_series_energies_are_computed_once_per_field(monkeypatch):
+    g = GridSpec(129)
+    u = make_fixture(g, "two_plane", alpha=1.0, beta=2.0, angle=20.0)
+    calls = []
+    fraction = monotonicity.positive_cell_fraction
+    monkeypatch.setattr(monotonicity, "positive_cell_fraction",
+                        lambda v: calls.append(v.shape) or fraction(v))
+    centers = np.random.default_rng(8).uniform(0.3, 0.7, size=(20, 2))
+    series = [j_series_check(u, tuple(c), SCHEDULE)[0] for c in centers]
+    assert calls == [(129, 129)]
+    for c, got in zip(centers, series):
+        ref = j_series_check(GridField(g, u.values.copy()), tuple(c), SCHEDULE)[0]
+        for name in ("j1", "j2", "j"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert got.j0 == ref.j0
 
 
 def test_series_input_validation():
