@@ -139,10 +139,6 @@ class RadialProfile:
         if np.any(np.diff(phi) > 1e-9):
             raise InputError("profile must be monotone non-increasing")
 
-    def at(self, rho: float) -> float:
-        """Linear interpolation between samples."""
-        return float(np.interp(rho, self.rho_samples, self.phi_values))
-
 
 def _radial_exponent(fam: MatrixFamily) -> float:
     """g = k - 1, where F-(diag(-k t, t)) = 0 for the family and every t < 0."""

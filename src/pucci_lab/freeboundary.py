@@ -17,13 +17,13 @@ Brent's bounded minimizer (Brent, *Algorithms for Minimization without
 Derivatives*, 1973), ported step for step from SciPy's bounded
 ``minimize_scalar`` so that the module needs numpy alone.
 
-"Sup over a ball" quantities are evaluated by dense bilinear sampling on
-polar point sets whose resolution doubles until the sup stabilizes.  Each
-level samples u once for every radius still refining; the sups of |u|, u+,
-u- and u itself at each radius all come from that radius's share of the one
-sample set, each radius and quantity keeping its own stopping rule.  Cone
-monotonicity translates its whole node window at once: one constant shift is
-one bilinear combination of four shifted slices.
+"Sup over a ball" quantities come from the bilinear interpolant's maximum
+principle: it is harmonic in each cell and linear on each cell edge, so its
+max and min over a closed ball lie at a node in the ball or on the circle,
+which is sampled at its grid-line crossings (the interpolant's kinks along
+it) and at uniform angles at most h apart.  Cone monotonicity translates
+its whole node window at once: one constant shift is one bilinear
+combination of four shifted slices.
 """
 
 from __future__ import annotations
@@ -248,73 +248,64 @@ def _polar_offsets(rad: float, n_dir: int, n_rad: int):
     return np.concatenate([np.zeros((1, 2)), flat], axis=0)
 
 
-def _ball_sups(u: GridField, x0, radii, modes, tols) -> list[tuple[float, ...]]:
-    """Per radius r_k, the sup over the closed ball B_{r_k}(x0) of each mode's
-    quantity, from one polar sample set s per level: raw = max s, plus =
-    max(max s, 0), minus = max(-min s, 0), abs = max(plus, minus).  Angular
-    and radial resolution double; a radius's mode stops once its sup moves by
-    less than ``tols[k]``, and the radius drops out when all its modes have.
-    Each level samples every radius still refining in one call."""
-    found: list[dict[str, float]] = [{} for _ in radii]
-    prev: list[dict[str, float] | None] = [None] * len(radii)
-    live = list(range(len(radii)))
-    n_dir, n_rad = 16, 4
-    for _ in range(7):
-        off = np.concatenate([_polar_offsets(radii[k], n_dir, n_rad) for k in live])
-        s = bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1]).reshape(len(live), -1)
-        for k, hi, lo in zip(live, s.max(axis=1).tolist(), s.min(axis=1).tolist()):
-            plus, minus = max(hi, 0.0), max(-lo, 0.0)
-            cur = {"raw": hi, "plus": plus, "minus": minus, "abs": max(plus, minus)}
-            last = prev[k]
-            for m in modes:
-                if m not in found[k] and last is not None and abs(cur[m] - last[m]) < tols[k]:
-                    found[k][m] = max(cur[m], last[m])
-            prev[k] = cur
-        live = [k for k in live if len(found[k]) < len(modes)]
-        if not live:
-            break
-        n_dir *= 2
-        n_rad *= 2
-    return [tuple(f.get(m, p[m]) for m in modes) for f, p in zip(found, prev)]
+def _ball_extrema(u: GridField, x0, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of the bilinear interpolant over each closed ball
+    B_r(x0), r in ``radii``: over the nodes in one block of the values
+    around the largest ball, and over every circle sampled in one call."""
+    spec = u.spec
+    ex, ey = spec.xs - x0[0], spec.ys - x0[1]
+    rs = np.asarray(radii, dtype=float)
+    px, py, starts = [], [], []
+    for r in rs.tolist():
+        n = max(16, math.ceil(2.0 * math.pi * r / spec.h))
+        ang = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        cx, cy = ex[np.abs(ex) < r], ey[np.abs(ey) < r]
+        wy, wx = np.sqrt(r * r - cx * cx), np.sqrt(r * r - cy * cy)
+        starts.append(sum(map(len, px)))
+        px += [r * np.cos(ang), cx, cx, wx, -wx]
+        py += [r * np.sin(ang), wy, -wy, cy, cy]
+    s = bilinear_sample(u, x0[0] + np.concatenate(px), x0[1] + np.concatenate(py))
+    rows, cols = ex * ex <= rs.max() ** 2, ey * ey <= rs.max() ** 2
+    inside = ex[rows, None] ** 2 + ey[cols] ** 2 <= (rs * rs)[:, None, None]
+    block = np.broadcast_to(u.values[np.ix_(rows, cols)], inside.shape)
+    return (np.maximum(np.maximum.reduceat(s, starts),
+                       block.max(axis=(1, 2), where=inside, initial=-math.inf)),
+            np.minimum(np.minimum.reduceat(s, starts),
+                       block.min(axis=(1, 2), where=inside, initial=math.inf)))
 
 
-def ball_sup(u: GridField, x0, r: float, mode: str = "abs", tol: float | None = None) -> float:
-    """Sup over the closed ball B_r(x0) by polar bilinear sampling.
-
-    mode selects the sampled quantity: "abs" for |u|, "plus" / "minus" for
-    the phases, "raw" for u itself.  Angular and radial resolution double
-    until the sup moves by less than ``tol`` (default 1e-3 Lip(u) r).  Each
-    level's sample set serves every mode and every radius;
-    :func:`classify_regular` takes three modes at all its radii from one
-    sampling.
-    """
+def ball_sup(u: GridField, x0, r: float, mode: str = "abs") -> float:
+    """Sup over the closed ball B_r(x0) of the bilinear interpolant's |u|
+    ("abs"), phases ("plus", "minus") or u itself ("raw"), from its max and
+    min over the nodes in the ball and on the circle (see the module notes)."""
     if mode not in ("abs", "plus", "minus", "raw"):
         raise ConfigurationError(f"unknown ball_sup mode {mode!r}")
     if not (r > 0.0) or not math.isfinite(r):
         raise InputError(f"radius must be positive, got {r!r}")
-    if tol is None:
-        tol = 1e-3 * lipschitz_seminorm(u) * r
-    return _ball_sups(u, x0, (r,), (mode,), (tol,))[0][0]
+    hi, lo = (float(e[0]) for e in _ball_extrema(u, x0, (r,)))
+    plus, minus = max(hi, 0.0), max(-lo, 0.0)
+    return {"raw": hi, "plus": plus, "minus": minus, "abs": max(plus, minus)}[mode]
 
 
 def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> RegularityRecord:
     """Linear-growth classification: M = min over radii of sup |u| / r,
     judged against the floor ``m_min`` (default the lesser of 10 h Lip / min
-    radius and Lip / 2)."""
+    radius and Lip / 2).  The sups of |u|, u+ and u- at every radius come
+    from the interpolant's max and min over each ball, as in
+    :func:`ball_sup`, with every circle sampled in one call."""
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0):
         raise InputError("radii must be a nonempty 1-D array of positive reals")
     u.spec.require_ball(x0, float(radii.max()))
-    lip = lipschitz_seminorm(u)
     if m_min is None:
+        lip = lipschitz_seminorm(u)
         # M <= |grad u|, about Lip, at a zero of u: a floor at Lip fails every
         # point; Lip / 2 still fails quadratic growth, M ~ |D^2 u| min(radii)
         m_min = min(10.0 * u.spec.h * lip / float(radii.min()), 0.5 * lip)
 
-    rs = radii.tolist()
-    sups = _ball_sups(u, x0, rs, ("abs", "plus", "minus"), [1e-3 * lip * r for r in rs])
-    sup_abs, sup_pos, sup_neg = np.array(sups).T
-    M = float((sup_abs / radii).min())
+    hi, lo = _ball_extrema(u, x0, radii)
+    sup_pos, sup_neg = np.maximum(hi, 0.0), np.maximum(-lo, 0.0)
+    M = float((np.maximum(sup_pos, sup_neg) / radii).min())
     growth = np.concatenate([sup_pos / radii, sup_neg / radii])
     c_lower = float(growth.min())
     C_upper = float(growth.max())

@@ -114,6 +114,10 @@ class GridField:
         # derived data belongs to one spec and one values array
         object.__setattr__(self, "_memo", {})
 
+    def __reduce__(self):
+        # a copy or an unpickled field is rebuilt through __setattr__ too
+        return type(self), (self.spec, self.values)
+
     def __post_init__(self):
         if self.values.shape != (self.spec.nx, self.spec.nx):
             raise InputError(
@@ -330,5 +334,12 @@ def field_from_csv(path) -> GridField:
         raise InputError(
             f"{path}: expected {spec.nx * spec.nx} rows of x,y,value, got shape {data.shape}"
         )
+    n, tol = spec.nx, _SNAP * spec.extent
+    off = np.abs(data[:, 0].reshape(n, n) - spec.xs[:, None]) > tol
+    off |= np.abs(data[:, 1].reshape(n, n) - spec.ys) > tol
+    if off.any():
+        k = int(np.argmax(off))
+        raise InputError(f"{path}: line {k + 2} has x,y = {data[k, 0]:g},{data[k, 1]:g}, "
+                         f"not node {spec.xs[k // n]:g},{spec.ys[k % n]:g}")
     # copied: a view would keep the whole parsed table alive with the field
-    return GridField(spec, data[:, 2].reshape(spec.nx, spec.nx).copy())
+    return GridField(spec, data[:, 2].reshape(n, n).copy())

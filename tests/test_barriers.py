@@ -169,10 +169,6 @@ def test_profile_dataclass_validation():
         RadialProfile(rho, np.array([1.0, 0.2, 0.5, 0.1, 0.0]), 1.0)  # not monotone
     with pytest.raises(InputError):
         RadialProfile(rho[::-1], good, 1.0)  # rho decreasing
-    prof = RadialProfile(rho, good, 1.0)
-    assert prof.at(0.2) == pytest.approx(1.0)
-    assert prof.at(0.4) == pytest.approx(0.0)
-    assert prof.at(0.3) == pytest.approx(0.5)
 
 
 # (family, k) with F-(diag(-k t, t)) = 0 for t < 0; k serves only the control

@@ -25,11 +25,10 @@ from pucci_lab import (
     extract_zero_set,
     fit_two_plane,
     flatness_measure,
-    lipschitz_seminorm,
     make_fixture,
 )
 from pucci_lab import freeboundary
-from pucci_lab.freeboundary import _fminbound, _polar_offsets
+from pucci_lab.freeboundary import _fminbound
 
 
 def circle_field(gspec, R, c=(0.5, 0.5)):
@@ -187,61 +186,71 @@ def test_ball_sup_modes():
         ball_sup(u, x0, 0.0)
 
 
-def _single_mode_sup(u, x0, r, mode, tol):
-    """The doubling polar loop for one mode alone: (sup, level it stopped at)."""
-    transform = {"abs": np.abs, "plus": lambda s: np.maximum(s, 0.0),
-                 "minus": lambda s: np.maximum(-s, 0.0), "raw": lambda s: s}[mode]
-    n_dir, n_rad, prev = 16, 4, -math.inf
-    for level in range(7):
-        off = _polar_offsets(r, n_dir, n_rad)
-        cur = float(np.max(transform(bilinear_sample(u, x0[0] + off[:, 0], x0[1] + off[:, 1]))))
-        if prev > -math.inf and abs(cur - prev) < tol:
-            return max(cur, prev), level
-        prev, n_dir, n_rad = cur, 2 * n_dir, 2 * n_rad
-    return prev, 7
-
-
-def test_ball_sup_shared_samples_match_single_mode_loops():
-    # a plane with a narrow bump in each phase: the negative bump's peak is
-    # resolved levels after the positive one, so the modes stop apart
+def bump_field():
+    """A plane with a narrow bump in each phase, peaks between the nodes."""
     g = GridSpec(129)
     xx, yy = g.node_coords()
-    u = GridField(g, (xx - 0.5) + 3.0 * np.exp(-((xx - 0.62) ** 2 + (yy - 0.53) ** 2) / 0.02 ** 2)
-                  - 2.5 * np.exp(-((xx - 0.41) ** 2 + (yy - 0.37) ** 2) / 0.014 ** 2))
-    x0, radii = (0.5, 0.5), (0.1, 0.2)
-    lip = lipschitz_seminorm(u)
-    ref = {(m, r): _single_mode_sup(u, x0, r, m, 1e-3 * lip * r)
-           for m in ("abs", "plus", "minus", "raw") for r in radii}
-    assert len({level for _, level in ref.values()}) >= 3
-    for (m, r), (sup, _) in ref.items():
-        assert ball_sup(u, x0, r, m) == sup
-    rec = classify_regular(u, x0, radii)
-    assert rec.M == min(ref["abs", r][0] / r for r in radii)
-    growth = [ref[m, r][0] / r for m in ("plus", "minus") for r in radii]
-    assert rec.c_lower == min(growth)
-    assert rec.C_upper == max(growth)
+    return GridField(g, (xx - 0.5) + 3.0 * np.exp(-((xx - 0.62) ** 2 + (yy - 0.53) ** 2) / 0.02 ** 2)
+                     - 2.5 * np.exp(-((xx - 0.41) ** 2 + (yy - 0.37) ** 2) / 0.014 ** 2))
 
 
-def test_classify_regular_samples_all_radii_in_one_call_per_level(monkeypatch):
-    # the bumps of the field above make the radii stop refining at different
-    # levels; each radius keeps its own stopping rule in the shared sampling
-    g = GridSpec(129)
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(5, 33), cx=st.floats(0.05, 0.95), cy=st.floats(0.05, 0.95),
+       frac=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_ball_sup_lies_between_node_and_cell_corner_maxima(nx, cx, cy, frac, seed):
+    # the interpolant's max over the ball is at least every node value in it,
+    # and no more than the corners of the cells that meet it: a convex
+    # combination of them
+    g = GridSpec(nx)
+    u = GridField(g, np.random.default_rng(seed).normal(size=(nx, nx)))
+    r = frac * min(cx, cy, 1.0 - cx, 1.0 - cy)
+    dx, dy = g.xs - cx, g.ys - cy
+    nodes = u.values[dx[:, None] ** 2 + dy ** 2 <= r * r].max(initial=-math.inf)
+    gap_x = np.maximum(np.maximum(dx[:-1], -dx[1:]), 0.0)
+    gap_y = np.maximum(np.maximum(dy[:-1], -dy[1:]), 0.0)
+    meets = gap_x[:, None] ** 2 + gap_y ** 2 <= r * r
+    corners = np.maximum.reduce([u.values[a:nx - 1 + a, b:nx - 1 + b][meets]
+                                 for a in (0, 1) for b in (0, 1)]).max()
+    raw = ball_sup(u, (cx, cy), r, "raw")
+    assert nodes <= raw <= corners + 1e-12
+    minus = ball_sup(GridField(g, -u.values), (cx, cy), r, "minus")
+    assert max(nodes, 0.0) <= minus <= max(corners, 0.0) + 1e-12
+
+
+def test_ball_sup_reads_a_lone_node():
+    g = GridSpec(65)
     xx, yy = g.node_coords()
-    u = GridField(g, (xx - 0.5) + 3.0 * np.exp(-((xx - 0.62) ** 2 + (yy - 0.53) ** 2) / 0.02 ** 2)
-                  - 2.5 * np.exp(-((xx - 0.41) ** 2 + (yy - 0.37) ** 2) / 0.014 ** 2))
-    x0, radii, modes = (0.5, 0.5), (0.05, 0.1, 0.15, 0.2), ("abs", "plus", "minus")
-    lip = lipschitz_seminorm(u)
-    sups = {(m, r): ball_sup(u, x0, r, m, tol=1e-3 * lip * r) for m in modes for r in radii}
-    stop = {r: max(_single_mode_sup(u, x0, r, m, 1e-3 * lip * r)[1] for m in modes)
-            for r in radii}
-    assert len(set(stop.values())) >= 2 and max(stop.values()) < 7
+    v = np.zeros((65, 65))
+    v[np.unravel_index(np.argmin(np.abs(np.hypot(xx - 0.5, yy - 0.5) - 0.147)), v.shape)] = 1.0
+    assert ball_sup(GridField(g, v), (0.5, 0.5), 0.2) == 1.0
+    assert ball_sup(GridField(g, -v), (0.5, 0.5), 0.2, "minus") == 1.0
+
+
+@pytest.mark.parametrize("r", [0.1, 0.2])
+def test_ball_sup_reaches_a_dense_sample_of_the_interpolant(r):
+    # one-sided: a lattice on the disc plus 2e5 points on the circle still
+    # fall short of the sup by up to their spacing times the slope
+    u, x0 = bump_field(), (0.5, 0.5)
+    t = np.linspace(-r, r, 601)
+    sx, sy = np.meshgrid(t, t, indexing="ij")
+    disc = sx ** 2 + sy ** 2 <= r * r
+    ang = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+    s = bilinear_sample(u, x0[0] + np.concatenate([sx[disc], r * np.cos(ang)]),
+                        x0[1] + np.concatenate([sy[disc], r * np.sin(ang)]))
+    assert ball_sup(u, x0, r, "raw") >= s.max() - 1e-4
+    assert ball_sup(u, x0, r, "minus") >= -s.min() - 1e-4
+
+
+def test_classify_regular_samples_every_circle_in_one_call(monkeypatch):
     calls = []
     sample = freeboundary.bilinear_sample
     monkeypatch.setattr(freeboundary, "bilinear_sample",
                         lambda *args: calls.append(args) or sample(*args))
+    u, x0, radii = bump_field(), (0.5, 0.5), (0.05, 0.1, 0.15, 0.2)
     rec = classify_regular(u, x0, radii)
-    # levels 0 .. the last radius's stopping level, then the zero density
-    assert len(calls) == max(stop.values()) + 2
+    # the circles at every radius, then the zero density
+    assert len(calls) == 2
+    sups = {(m, r): ball_sup(u, x0, r, m) for m in ("abs", "plus", "minus") for r in radii}
     assert rec.M == min(sups["abs", r] / r for r in radii)
     growth = [sups[m, r] / r for m in ("plus", "minus") for r in radii]
     assert rec.c_lower == min(growth)

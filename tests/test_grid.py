@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,19 @@ def test_field_values_are_read_only_and_their_memo_follows_them():
     assert strided.values.flags.c_contiguous and not strided.values.flags.writeable
 
 
+def test_pickled_field_is_rebuilt_read_only_with_an_empty_memo():
+    g = GridSpec(9)
+    X, _ = g.node_coords()
+    fld = GridField(g, 2.0 * X)
+    assert lipschitz_seminorm(fld) == pytest.approx(2.0, rel=1e-12)
+    back = pickle.loads(pickle.dumps(fld))
+    assert back.spec == g and np.array_equal(back.values, fld.values)
+    assert not back.values.flags.writeable
+    with pytest.raises(ValueError):
+        back.values[1, 1] = 1.0
+    assert back._memo == {}
+
+
 def test_rescale_blowup_linear_invariance():
     # a linear profile is a fixed point of u(x0 + r xi)/r when u(x0) = 0
     g = GridSpec(65)
@@ -256,6 +271,24 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, fld.values)
     # the field owns its values, not a view into the parsed x,y,value table
     assert back.values.flags.owndata and back.values.flags.c_contiguous
+
+
+def test_csv_rows_must_sit_on_their_nodes(tmp_path):
+    g = GridSpec(5)
+    path = tmp_path / "f.csv"
+    field_to_csv(GridField(g, np.arange(25.0).reshape(5, 5)), path)
+    lines = path.read_text().splitlines()
+    # rows 1 and 2 swapped, and x = 9.5 in row 4
+    lines[1], lines[2] = lines[2], lines[1]
+    lines[4] = "9.5," + lines[4].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="line 2 has x,y = 0,0.25, not node 0,0"):
+        field_from_csv(path)
+    # the first bad row is named wherever it lies
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match="line 5 has x,y = 9.5,0.75, not node 0,0.75"):
+        field_from_csv(path)
 
 
 def test_csv_header_and_sidecar(tmp_path):
