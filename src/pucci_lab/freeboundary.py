@@ -12,10 +12,7 @@ On top of the curve sit the diagnostics: coincidence of the two phase
 boundaries (Hausdorff distance between one level curve of each phase),
 linear-growth classification of interface points, two-plane slope fits with
 the equal-slope check, band flatness of level sets, and cone monotonicity
-measured on a dyadic epsilon ladder.  The slope fit's direction search is
-Brent's bounded minimizer (Brent, *Algorithms for Minimization without
-Derivatives*, 1973), ported step for step from SciPy's bounded
-``minimize_scalar`` so that the module needs numpy alone.
+measured on a dyadic epsilon ladder.
 
 "Sup over a ball" quantities come from the bilinear interpolant's maximum
 principle: it is harmonic in each cell and linear on each cell edge, so its
@@ -294,8 +291,9 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
     from the interpolant's max and min over each ball, as in
     :func:`ball_sup`, with every circle sampled in one call."""
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0):
-        raise InputError("radii must be a nonempty 1-D array of positive reals")
+    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise InputError(
+            f"radii must be a nonempty 1-D array of positive finite reals, got {radii.tolist()!r}")
     u.spec.require_ball(x0, float(radii.max()))
     if m_min is None:
         lip = lipschitz_seminorm(u)
@@ -331,55 +329,19 @@ def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> Reg
 
 
 _BLOWUP_SPEC = GridSpec(65, extent=2.0, origin=(-1.0, -1.0))
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def _fminbound(f, a: float, b: float, xatol: float) -> float:
-    """Minimizer of f on [a, b] by Brent's bounded search: a parabolic step
-    through the three best points when it lands inside the bracket and moves
-    less than half the step before last, a golden-section step otherwise,
-    never closer than tol1 to the best point; at most 500 evaluations.  Step
-    for step SciPy's ``minimize_scalar(method="bounded")``, so the argmin is
-    the same bit for bit."""
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for _ in range(499):
-        xm = 0.5 * (a + b)
-        tol1 = math.sqrt(2.2e-16) * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(x - xm) > tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = (a - x) if x >= xm else (b - x)
-            d = _GOLDEN * e
-        u = x + (1.0 if d >= 0.0 else -1.0) * max(abs(d), tol1)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
+def _phase_plane(xi, eta, ur, phase) -> np.ndarray:
+    """Gradient of the least-squares plane through the origin over the
+    samples in ``phase``, from the 2x2 normal equations; 0 when they are
+    singular (det <= 1e-12 trace^2, an empty phase included)."""
+    x, y, f = xi[phase], eta[phase], ur[phase]
+    a, b, c = float(x @ x), float(x @ y), float(y @ y)
+    det = a * c - b * b
+    if not det > 1e-12 * (a + c) ** 2:
+        return np.zeros(2)
+    fx, fy = float(x @ f), float(y @ f)
+    return np.array([c * fx - b * fy, a * fy - b * fx]) / det
 
 
 def _fit_at_angle(xi, eta, ur, phi):
@@ -399,10 +361,12 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
     """Least-squares two-plane asymptote over a shrinking blow-up schedule.
 
     ``radii`` is decreasing; the returned fit is the one at the smallest
-    radius.  The direction is seeded from the interpolated gradient at x0
-    (at a contour vertex, that vertex's normal) and refined by a bounded 1-D
-    search; slopes come from the separable normal equations at each
-    candidate direction.
+    radius.  Each radius is fitted on its own, in closed form: a plane
+    through the origin is fitted to each phase of the blow-up annulus, p to
+    {u_r > 0} and q to {u_r < 0}.  On alpha <x,nu>+ - beta <x,nu>- these are
+    alpha nu and beta nu, so nu is the direction of p + q (angle 0 when the
+    sum vanishes); the slopes then come from the separable normal equations
+    at nu.
     """
     radii = tuple(float(r) for r in radii)
     if len(radii) == 0 or any(r <= 0.0 for r in radii):
@@ -414,25 +378,16 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
             f"smallest fit radius {radii[-1]:g} is under 8h = {8 * u.spec.h:g}"
         )
 
-    g = gradient_field(u)
-    gx = bilinear_sample(GridField(u.spec, g.gx), x0[0], x0[1])
-    gy = bilinear_sample(GridField(u.spec, g.gy), x0[0], x0[1])
-    phi0 = math.atan2(gy, gx)
-
     XI, ETA = _BLOWUP_SPEC.node_coords()
     rho = np.hypot(XI, ETA)
     fits = []
     for r, ur_f in zip(radii, blowup_stack(u, x0, radii, _BLOWUP_SPEC)):
         mask = (rho <= 1.0) & (rho >= 4.0 * u.spec.h / r)
         xi, eta, ur = XI[mask], ETA[mask], ur_f[mask]
-
-        def sse(phi):
-            return float(np.sum(_fit_at_angle(xi, eta, ur, phi)[2] ** 2))
-
-        phi = _fminbound(sse, phi0 - math.pi / 4, phi0 + math.pi / 4, 1e-7)
+        s = _phase_plane(xi, eta, ur, ur > 0.0) + _phase_plane(xi, eta, ur, ur < 0.0)
+        phi = math.atan2(s[1], s[0]) if s.any() else 0.0
         alpha, beta, resid = _fit_at_angle(xi, eta, ur, phi)
         fits.append((phi, alpha, beta, float(np.max(np.abs(resid)))))
-        phi0 = phi  # warm-start the next, smaller radius
 
     phi, alpha, beta, residual = fits[-1]
     return SlopeFit(

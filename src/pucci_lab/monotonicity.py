@@ -11,8 +11,8 @@ J_r(u1) J_r(u2) of the positive and negative parts of a sign-changing field
 is non-decreasing in r for true solutions; on a two-plane field with slopes
 alpha, beta it is the constant (pi^2 / 4) alpha^2 beta^2.
 
-Quadrature is the midpoint rule over grid cells whose centers fall in the
-ball.  Phase splitting does not clip node values (clipping pollutes every
+Quadrature is the midpoint rule over grid cells, each weighted by its share
+of the ball (sub-sampled for the cells the rim cuts).  Phase splitting does not clip node values (clipping pollutes every
 interface cell's gradient): cells are weighted by the area fraction of the
 positive region under the cell's bilinear interpolant, and interface cells
 take their gradient from the neighbor cell 1.5 h into the respective phase,
@@ -119,18 +119,51 @@ def positive_cell_fraction(u: np.ndarray) -> np.ndarray:
     return frac
 
 
+def _ball_cell_weights(spec: GridSpec, x0, radii):
+    """Cell window around the largest ball B_r(x0), r in ``radii``, and per
+    radius each window cell's share of the ball: 1 inside, 0 outside, and
+    for a cell cut by the rim the fraction of an 8 x 8 sub-grid inside.
+
+    The plain center-in-ball rule wobbles by (h/r)^2, which at the smallest
+    radius of a desk-scale schedule is the same size as the monotonicity
+    slack.  Only cells whose center lies within r_max + h/sqrt(2) of x0 carry
+    weight (one more cell absorbs rounding), so the window [lo, hi) follows
+    the largest radius, not the grid.
+    """
+    h = spec.h
+    half_diag = h * math.sqrt(0.5)
+    t = (np.asarray(x0, dtype=float) - spec.origin) / h
+    reach = (float(max(radii)) + half_diag + h) / h
+    lo = np.maximum(np.floor(t - reach).astype(int), 0)
+    hi = np.minimum(np.ceil(t + reach).astype(int), spec.nx - 1)
+    cx, cy = _cell_centers(spec, lo, hi)
+    dist = np.hypot(cx - x0[0], cy - x0[1])
+    sub = ((np.arange(8) + 0.5) / 8.0 - 0.5) * h
+    weights = []
+    for r in radii:
+        w = (dist <= r - half_diag).astype(float)
+        rim = np.abs(dist - r) < half_diag
+        if np.any(rim):
+            # an 8 x 8 sub-grid per rim cell, squared per axis, then paired
+            px = cx[rim][:, None] + sub[None, :] - x0[0]
+            py = cy[rim][:, None] + sub[None, :] - x0[1]
+            w[rim] = np.mean((px * px)[:, :, None] + (py * py)[:, None, :] <= r * r, axis=(1, 2))
+        weights.append(w)
+    return (slice(lo[0], hi[0]), slice(lo[1], hi[1])), weights
+
+
 def j_r(u_i: GridField, x0, r: float) -> float:
-    """Normalized Dirichlet energy of one phase over B_r(x0)."""
+    """Normalized Dirichlet energy of one phase over B_r(x0), with the cell
+    weights of :func:`j_series_check`."""
     if not (r > 0.0) or not math.isfinite(r):
         raise InputError(f"radius must be positive, got {r!r}")
     u_i.spec.require_ball(x0, r)
     if float(u_i.values.min()) < -1e-12:
         raise InputError("j_r expects a nonnegative phase (a positive or negative part)")
     h = u_i.spec.h
-    gx, gy = _cell_gradients(u_i.values, h)
-    cx, cy = _cell_centers(u_i.spec, (0, 0), (u_i.spec.nx - 1,) * 2)
-    mask = (cx - x0[0]) ** 2 + (cy - x0[1]) ** 2 <= r * r
-    return float(np.sum((gx[mask] ** 2 + gy[mask] ** 2)) * h * h / (r * r))
+    window, (w,) = _ball_cell_weights(u_i.spec, x0, (r,))
+    gx, gy = (g[window] for g in _cell_gradients(u_i.values, h))
+    return float(np.sum(w * (gx * gx + gy * gy)) * h * h / (r * r))
 
 
 def _displaced_cell_index(ix, iy, nx_cells, gx, gy, side: float):
@@ -176,41 +209,18 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
         raise InputError("radii must be a 1-D schedule with at least two entries")
-    if np.any(np.diff(radii) <= 0.0) or np.any(radii <= 0.0):
-        raise InputError("radii must be positive and strictly increasing")
+    if not np.all(np.isfinite(radii) & (radii > 0.0)) or np.any(np.diff(radii) <= 0.0):
+        raise InputError(
+            f"radii must be positive, finite and strictly increasing, got {radii.tolist()!r}")
     if not (0.0 <= eta < 1.0):
         raise ConfigurationError(f"slack eta must be in [0, 1), got {eta!r}")
     u.spec.require_ball(x0, float(radii[-1]))
 
     h = u.spec.h
-    half_diag = h * math.sqrt(0.5)
-    # only cells whose center lies within r_max + h/sqrt(2) of x0 carry
-    # weight (one more cell absorbs rounding): the quadrature runs on that
-    # window [lo, hi) of the field's cell energies
-    t = (np.asarray(x0, dtype=float) - u.spec.origin) / h
-    reach = (float(radii[-1]) + half_diag + h) / h
-    lo = np.maximum(np.floor(t - reach).astype(int), 0)
-    hi = np.minimum(np.ceil(t + reach).astype(int), u.spec.nx - 1)
-    e1, e2 = (e[lo[0]:hi[0], lo[1]:hi[1]] for e in _phase_energies(u))
-
-    cx, cy = _cell_centers(u.spec, lo, hi)
-    dist = np.hypot(cx - x0[0], cy - x0[1])
-    # cells cut by the ball rim get sub-sampled coverage weights; the plain
-    # center-in-ball rule wobbles by (h/r)^2, which at the smallest radius of
-    # a desk-scale schedule is the same size as the monotonicity slack
-    sub = ((np.arange(8) + 0.5) / 8.0 - 0.5) * h
-    j1 = np.empty(radii.shape)
-    j2 = np.empty(radii.shape)
-    for k, r in enumerate(radii):
-        w = (dist <= r - half_diag).astype(float)
-        rim = np.abs(dist - r) < half_diag
-        if np.any(rim):
-            # an 8 x 8 sub-grid per rim cell, squared per axis, then paired
-            px = cx[rim][:, None] + sub[None, :] - x0[0]
-            py = cy[rim][:, None] + sub[None, :] - x0[1]
-            w[rim] = np.mean((px * px)[:, :, None] + (py * py)[:, None, :] <= r * r, axis=(1, 2))
-        j1[k] = np.sum(w * e1) * h * h / (r * r)
-        j2[k] = np.sum(w * e2) * h * h / (r * r)
+    window, weights = _ball_cell_weights(u.spec, x0, radii)
+    e1, e2 = (e[window] for e in _phase_energies(u))
+    j1 = np.array([np.sum(w * e1) * h * h / (r * r) for r, w in zip(radii, weights)])
+    j2 = np.array([np.sum(w * e2) * h * h / (r * r) for r, w in zip(radii, weights)])
     j = j1 * j2
 
     j0 = float(j[0])

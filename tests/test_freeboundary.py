@@ -28,7 +28,6 @@ from pucci_lab import (
     make_fixture,
 )
 from pucci_lab import freeboundary
-from pucci_lab.freeboundary import _fminbound
 
 
 def circle_field(gspec, R, c=(0.5, 0.5)):
@@ -300,6 +299,14 @@ def test_classify_regular_input_errors():
         classify_regular(u, (0.5, 0.5), (-0.1,))
 
 
+@pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, math.inf)])
+def test_classify_regular_rejects_non_finite_radii(radii):
+    u = make_fixture(GridSpec(65), "two_plane", alpha=1.0, beta=2.0, angle=20.0)
+    with pytest.raises(InputError, match="finite") as err:
+        classify_regular(u, (0.5, 0.5), radii)
+    assert repr(list(radii)) in str(err.value)
+
+
 def test_fit_two_plane_exact_model():
     g = GridSpec(257)
     u = make_fixture(g, "two_plane", alpha=2.0, beta=3.0, angle=30.0)
@@ -311,6 +318,24 @@ def test_fit_two_plane_exact_model():
     assert fit.residual <= 0.05
     assert not fit.no_asymptote
     assert check_alpha_beta(fit) == "FAIL"
+
+
+@settings(max_examples=40, deadline=None)
+@given(angle=st.floats(0.0, 360.0, exclude_max=True))
+@example(angle=0.0)
+@example(angle=180.0)
+@example(angle=225.0)
+def test_fit_two_plane_recovers_any_direction(angle):
+    # nu spans the whole circle, so the fit must also cross +-180 degrees
+    g = GridSpec(129)
+    u = make_fixture(g, "two_plane", alpha=2.0, beta=3.0, angle=angle)
+    fit = fit_two_plane(u, (0.5, 0.5), (0.2, 0.1, 0.0625))
+    assert fit.alpha == pytest.approx(2.0, rel=1e-3)
+    assert fit.beta == pytest.approx(3.0, rel=1e-3)
+    a = math.radians(angle)
+    assert fit.nu == pytest.approx((math.cos(a), math.sin(a)), abs=1e-4)
+    assert fit.residual <= 0.05
+    assert not fit.no_asymptote
 
 
 def test_fit_two_plane_linear_field():
@@ -392,27 +417,6 @@ def test_fit_two_plane_radii_validation():
         fit_two_plane(u, (0.5, 0.5), (0.05, 0.1))
     with pytest.raises(InputError):
         fit_two_plane(u, (0.5, 0.5), (0.2, 0.01))
-
-
-_OBJECTIVES = {
-    "smooth": lambda c, w: lambda x: w * (x - c) ** 2 + math.sin(3.0 * x),
-    "kinked": lambda c, w: lambda x: abs(x - c) ** w,
-    "step": lambda c, w: lambda x: float(math.floor(w * (x - c))) ** 2,
-}
-
-
-@settings(max_examples=300, deadline=None)
-@given(kind=st.sampled_from(sorted(_OBJECTIVES)), c=st.floats(-3.0, 3.0),
-       w=st.floats(0.3, 4.0), a=st.floats(-4.0, 2.0), width=st.floats(1e-6, 6.0),
-       log_tol=st.floats(-9.0, -3.0))
-def test_fminbound_is_scipy_bounded_bit_for_bit(kind, c, w, a, width, log_tol):
-    from scipy.optimize import minimize_scalar
-    f = _OBJECTIVES[kind](c, w)
-    b, tol = a + width, 10.0 ** log_tol
-    ref = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": tol}).x
-    got = _fminbound(f, a, b, tol)
-    assert type(got) is float
-    assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
 
 
 def test_check_alpha_beta_verdicts():

@@ -64,6 +64,17 @@ def test_j_r_quadratic_scaling(t):
     assert scaled == pytest.approx(t * t * base, rel=1e-12)
 
 
+def test_j_r_weighs_cells_as_the_series_does():
+    # on a field positive everywhere every cell is wholly in the first phase,
+    # so J_r of the field is the series' j1 at each radius, rim cells included
+    g = GridSpec(65)
+    xx, yy = g.node_coords()
+    u = GridField(g, 2.0 + np.sin(3.0 * xx) * yy)
+    x0 = (0.47, 0.52)
+    series, _ = j_series_check(u, x0, SCHEDULE)
+    assert [j_r(u, x0, r) for r in SCHEDULE] == pytest.approx(series.j1, rel=1e-13)
+
+
 def test_j_r_rejects_bad_input():
     g = GridSpec(33)
     u = half_plane(g, 1.0, 0.0)
@@ -219,6 +230,14 @@ def test_series_input_validation():
         j_series_check(u, (0.5, 0.5), SCHEDULE, eta=1.0)
     with pytest.raises(DomainError):
         j_series_check(u, (0.9, 0.5), SCHEDULE)
+
+
+@pytest.mark.parametrize("radii", [(0.1, math.nan), (math.nan, 0.2), (0.1, 0.2, math.inf, math.inf)])
+def test_series_rejects_non_finite_radii(radii):
+    u = make_fixture(GridSpec(65), "two_plane", alpha=1.0, beta=2.0, angle=20.0)
+    with pytest.raises(InputError, match="finite") as err:
+        j_series_check(u, (0.5, 0.5), radii)
+    assert repr(list(radii)) in str(err.value)
 
 
 def test_jr_series_record_validation():
