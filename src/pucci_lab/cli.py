@@ -10,10 +10,11 @@ comments, dotted keys), dispatched by the ``command`` key:
     verify     the condensed property battery of every module
 
 Each value is checked as it is parsed.  A key whose rule the library states
-(the grid, ellipticity, scheme, solver, eps-ladder and cone keys) is checked
-by building the library object it configures, so a bad value's message is
-the library's own; the other keys carry the CLI's own rules.  A parse error
-names the offending key and, where the config sets it, its line.
+(the grid, ellipticity, scheme, solver, eps-ladder, cone and radii keys) is
+checked by the library object it configures or by the library's radii rule,
+so a bad value's message is the library's own; the other keys carry the
+CLI's own rules.  A parse error names the offending key and, where the
+config sets it, its line.
 
 Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
 written atomically) echoing the full config with defaults, a hash of that
@@ -43,7 +44,7 @@ from .barriers import (
     radial_profile,
 )
 from .errors import ParseError
-from .grid import GridField, GridSpec, field_from_csv, field_to_csv
+from .grid import GridField, GridSpec, field_from_csv, field_to_csv, require_radii
 from .freeboundary import (
     ConeSpec,
     boundary_consistency,
@@ -114,18 +115,13 @@ def _positive(v) -> None:
     _require(v > 0.0, "must be positive", v)
 
 
-def _increasing(v) -> None:
-    _require(all(b > a for a, b in zip((0.0,) + v, v)),
-             "must be positive and strictly increasing", v)
-
-
 _family = _one_of(_CLI_FAMILIES,
                   " (finite sets need explicit members and are not line-configurable)")
 
 # key -> (value parser, check, default); None default means "unset".  A check
 # raises ValueError on a bad parsed value.  Where the library states the rule,
-# the check builds the object the key configures, so the rule is written once
-# and the message is the library's own.
+# the check builds the object the key configures or applies that rule, so the
+# rule is written once and the message is the library's own.
 _KEYS: dict = {
     "command": (str, _one_of(COMMANDS), None),
     "grid.nx": (int, GridSpec, 65),
@@ -154,7 +150,7 @@ _KEYS: dict = {
     "fixture.r": (_p_float, _positive, 0.4),
     "fixture.gamma": (_p_float, _positive, 1.0),
     "field": (str, None, None),
-    "radii": (_p_floats, _increasing, None),  # None: _default_radii of the field's grid
+    "radii": (_p_floats, require_radii, None),  # None: _default_radii of the field's grid
     "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0.0, v), 60.0),
     "cone.angle": (_p_float, None, None),
     "rel_tol": (_p_float, lambda v: _require(v >= 0.0, "must be >= 0", v), 0.05),
@@ -418,6 +414,9 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
     with _Timer(man, "field"):
         u = _diagnose_field(cfg)
     spec = u.spec
+    if cfg["x0"] is not None and not spec.contains(*cfg["x0"]):
+        _fail("x0 = {:g},{:g} lies outside the field's square, origin {:g},{:g} and extent "
+              "{:g}".format(*cfg["x0"], *spec.origin, spec.extent), key="x0")
     with _Timer(man, "diagnostics"):
         curve = extract_zero_set(u)
         curve_to_csv(curve, man.emit("curve.csv"))
@@ -439,13 +438,14 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
             radii = cfg["radii"] or _default_radii(spec)
             man.data["telemetry"]["radii"] = list(radii)
 
-            with _or_degenerate(rows, verdicts, "regular_point", "growth_constant_M"):
+            with _or_degenerate(rows, verdicts, "regular_point", "growth_exponent"):
                 rec = classify_regular(u, x0, radii)
-                man.data["telemetry"].update(M=rec.M, c_lower=rec.c_lower,
-                                             C_upper=rec.C_upper,
+                man.data["telemetry"].update(M=rec.M, growth_exponent=rec.growth_exponent,
+                                             c_lower=rec.c_lower, C_upper=rec.C_upper,
                                              zero_density=rec.zero_density)
                 verdicts["regular_point"] = "PASS" if rec.is_regular else "FAIL"
-                rows.append(("growth_constant_M", rec.M, verdicts["regular_point"]))
+                rows.append(("growth_constant_M", rec.M, ""))
+                rows.append(("growth_exponent", rec.growth_exponent, verdicts["regular_point"]))
 
             with _or_degenerate(rows, verdicts, "jr_monotone", "jr_constancy_defect"):
                 series, sv = j_series_check(u, x0, radii)

@@ -10,9 +10,15 @@ difference.
 
 On top of the curve sit the diagnostics: coincidence of the two phase
 boundaries (Hausdorff distance between one level curve of each phase),
-linear-growth classification of interface points, two-plane slope fits with
-the equal-slope check, band flatness of level sets, and cone monotonicity
+growth classification of interface points, two-plane slope fits with the
+equal-slope check, band flatness of level sets, and cone monotonicity
 measured on a dyadic epsilon ladder.
+
+A point is regular iff its growth exponent k, sup_{B_r} |u| ~ r^k read as
+a log-log slope over the record's radii, is below 3/2: halfway between the
+linear growth of a regular point and the quadratic growth of a nondegenerate
+critical zero (grad u = 0).  k needs no scale, so a small but linear slope
+beside a singular point still reads regular.
 
 "Sup over a ball" quantities come from the bilinear interpolant's maximum
 principle: it is harmonic in each cell and linear on each cell edge, so its
@@ -32,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, blowup_stack,
-                   gradient_field, lipschitz_seminorm)
+                   gradient_field, lipschitz_seminorm, require_radii)
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,10 @@ class SlopeFit:
     no_asymptote: bool       # residual stayed above 0.5 at every radius
 
 
+# a point is regular iff its growth exponent is below this (module notes)
+_GROWTH_SPLIT = 1.5
+
+
 @dataclass(frozen=True)
 class RegularityRecord:
     """Linear-growth measurements at an interface point."""
@@ -76,7 +86,7 @@ class RegularityRecord:
     c_lower: float           # min over radii and phases of sup u_i / r
     C_upper: float           # max over radii and phases of sup u_i / r
     zero_density: float      # area fraction of {u <= 0} in the half-radius ball
-    m_min: float             # growth floor the flag was judged against
+    growth_exponent: float   # log-log slope of sup |u| over the radii
 
 
 @dataclass(frozen=True)
@@ -284,48 +294,36 @@ def ball_sup(u: GridField, x0, r: float, mode: str = "abs") -> float:
     return {"raw": hi, "plus": plus, "minus": minus, "abs": max(plus, minus)}[mode]
 
 
-def classify_regular(u: GridField, x0, radii, m_min: float | None = None) -> RegularityRecord:
-    """Linear-growth classification: M = min over radii of sup |u| / r,
-    judged against the floor ``m_min`` (default the lesser of 10 h Lip / min
-    radius and Lip / 2).  The sups of |u|, u+ and u- at every radius come
-    from the interpolant's max and min over each ball, as in
-    :func:`ball_sup`, with every circle sampled in one call."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0.0)):
-        raise InputError(
-            f"radii must be a nonempty 1-D array of positive finite reals, got {radii.tolist()!r}")
-    u.spec.require_ball(x0, float(radii.max()))
-    if m_min is None:
-        lip = lipschitz_seminorm(u)
-        # M <= |grad u|, about Lip, at a zero of u: a floor at Lip fails every
-        # point; Lip / 2 still fails quadratic growth, M ~ |D^2 u| min(radii)
-        m_min = min(10.0 * u.spec.h * lip / float(radii.min()), 0.5 * lip)
+def classify_regular(u: GridField, x0, radii) -> RegularityRecord:
+    """Growth classification over the balls B_r(x0), r in ``radii``, from
+    the sups of |u|, u+ and u- that the interpolant's max and min over each
+    ball give (as in :func:`ball_sup`, every circle sampled in one call).
+    The point is regular iff the least-squares slope of log sup |u| against
+    log r is below 3/2, halfway between linear growth and the quadratic
+    growth of a critical zero; u vanishing on a ball reads slope +inf."""
+    radii = require_radii(radii)
+    u.spec.require_ball(x0, float(radii[-1]))
 
     hi, lo = _ball_extrema(u, x0, radii)
-    sup_pos, sup_neg = np.maximum(hi, 0.0), np.maximum(-lo, 0.0)
-    M = float((np.maximum(sup_pos, sup_neg) / radii).min())
-    growth = np.concatenate([sup_pos / radii, sup_neg / radii])
-    c_lower = float(growth.min())
-    C_upper = float(growth.max())
+    sups = np.stack([np.maximum(hi, 0.0), np.maximum(-lo, 0.0)])  # of u+, u-
+    growth, sup_abs = sups / radii, sups.max(axis=0)
+    exponent = math.inf
+    if sup_abs.min() > 0.0:
+        t = np.log(radii) - np.log(radii).mean()
+        exponent = float(t @ np.log(sup_abs) / (t @ t))
 
-    r0 = float(radii.min()) / 2.0
+    r0 = float(radii[0]) / 2.0
     step = r0 / 24.0
     ax = np.arange(x0[0] - r0, x0[0] + r0 + step / 2, step)
     ay = np.arange(x0[1] - r0, x0[1] + r0 + step / 2, step)
     sx, sy = np.meshgrid(ax, ay, indexing="ij")
     inside = (sx - x0[0]) ** 2 + (sy - x0[1]) ** 2 <= r0 * r0
     samples = bilinear_sample(u, sx[inside], sy[inside])
-    zero_density = float(np.mean(samples <= 0.0))
-
     return RegularityRecord(
-        x0=(float(x0[0]), float(x0[1])),
-        M=M,
-        is_regular=bool(M >= m_min),
-        c_lower=c_lower,
-        C_upper=C_upper,
-        zero_density=zero_density,
-        m_min=float(m_min),
-    )
+        x0=(float(x0[0]), float(x0[1])), M=float(growth.max(axis=0).min()),
+        is_regular=exponent < _GROWTH_SPLIT, c_lower=float(growth.min()),
+        C_upper=float(growth.max()), zero_density=float(np.mean(samples <= 0.0)),
+        growth_exponent=exponent)
 
 
 _BLOWUP_SPEC = GridSpec(65, extent=2.0, origin=(-1.0, -1.0))

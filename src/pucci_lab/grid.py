@@ -97,6 +97,17 @@ class GridSpec:
             )
 
 
+def require_radii(radii) -> np.ndarray:
+    """``radii`` as a float array; raise :class:`InputError` unless it is a
+    schedule of at least two positive, finite, strictly increasing reals."""
+    rs = np.asarray(radii, dtype=float)
+    if not (rs.ndim == 1 and rs.size >= 2 and np.all(np.isfinite(rs) & (rs > 0.0))
+            and np.all(np.diff(rs) > 0.0)):
+        raise InputError("radii must be at least two positive, finite and strictly "
+                         f"increasing reals, got {rs.tolist()!r}")
+    return rs
+
+
 @dataclass
 class GridField:
     """Scalar samples on a :class:`GridSpec`; the values are a read-only,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .grid import GridField, GridSpec, derived
+from .grid import GridField, GridSpec, derived, require_radii
 
 VERDICTS = ("PASS", "FAIL", "DEGENERATE")
 
@@ -48,11 +48,7 @@ class JrSeries:
     j0: float  # linear extrapolation of the product to r -> 0
 
     def __post_init__(self):
-        radii = np.asarray(self.radii, dtype=float)
-        if radii.ndim != 1 or radii.size == 0 or np.any(radii <= 0.0):
-            raise InputError("radii must be a nonempty 1-D array of positive reals")
-        if np.any(np.diff(radii) <= 0.0):
-            raise InputError("radii must be strictly increasing")
+        radii = require_radii(self.radii)
         for name in ("j1", "j2", "j"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != radii.shape or not np.all(np.isfinite(v)) or np.any(v < 0.0):
@@ -206,12 +202,7 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
     means the product vanished at every radius (no genuine two phases), and
     no monotonicity judgment is made.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 2:
-        raise InputError("radii must be a 1-D schedule with at least two entries")
-    if not np.all(np.isfinite(radii) & (radii > 0.0)) or np.any(np.diff(radii) <= 0.0):
-        raise InputError(
-            f"radii must be positive, finite and strictly increasing, got {radii.tolist()!r}")
+    radii = require_radii(radii)
     if not (0.0 <= eta < 1.0):
         raise ConfigurationError(f"slack eta must be in [0, 1), got {eta!r}")
     u.spec.require_ball(x0, float(radii[-1]))

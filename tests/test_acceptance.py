@@ -48,8 +48,6 @@ PAIR = OperatorPair.pucci(ELL)
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 JR_RADII = (0.05, 0.1, 0.15, 0.2)
 FIT_RADII = (0.2, 0.1, 0.05)
-M_MIN = 0.3  # growth floor for "detected regular"; the default floor at
-             # these grids sits above every attainable slope and detects nothing
 
 
 def report(num, label, ok, detail):
@@ -88,7 +86,7 @@ def regular_points(scalar_limit):
     points = []
     for probe in ((0.35, 0.5), (0.5, 0.5), (0.65, 0.5)):
         x0 = tuple(curve.vertices[curve.nearest_vertex(probe)])
-        rec = classify_regular(scalar_limit, x0, JR_RADII, m_min=M_MIN)
+        rec = classify_regular(scalar_limit, x0, JR_RADII)
         fit = fit_two_plane(scalar_limit, x0, FIT_RADII)
         points.append((x0, rec, fit))
     return points
@@ -306,9 +304,9 @@ def test_criterion_09_jr_monotonicity(segregation_limit):
     lo, hi = 0.2 + g.h, 0.8 - g.h
     inside = [tuple(v) for v in curve.vertices
               if lo <= v[0] <= hi and lo <= v[1] <= hi]
-    regular = [p for p in inside
-               if classify_regular(segregation_limit, p, JR_RADII,
-                                   m_min=M_MIN).is_regular]
+    records = [classify_regular(segregation_limit, p, JR_RADII) for p in inside]
+    regular = [rec.x0 for rec in records if rec.is_regular]
+    exponents = [rec.growth_exponent for rec in records]
     worst = 0.0
     failures = 0
     for p in regular:
@@ -317,7 +315,8 @@ def test_criterion_09_jr_monotonicity(segregation_limit):
         failures += verdict.verdict != "PASS"
     ok = len(regular) >= 10 and failures == 0
     report(9, "J_r monotonicity", ok,
-           f"{len(regular)} regular points of {len(inside)} scanned, "
+           f"{len(regular)} regular points of {len(inside)} scanned, growth exponents "
+           f"{min(exponents):.3f}-{max(exponents):.3f}, "
            f"worst drop {worst:.4f}, failures {failures}")
     assert len(regular) >= 10
     assert failures == 0
@@ -330,8 +329,9 @@ def test_criterion_10_free_boundary_condition(regular_points):
     slopes = ", ".join(f"({fit.alpha:.4f},{fit.beta:.4f})"
                        for _, _, fit in regular_points)
     ok = worst_resid <= 0.1 and all(v == "PASS" for v in verdicts)
+    exponents = ", ".join(f"{rec.growth_exponent:.3f}" for _, rec, _ in regular_points)
     report(10, "free-boundary condition", ok,
-           f"slopes {slopes}, worst residual {worst_resid:.2e}")
+           f"growth exponents {exponents}, slopes {slopes}, worst residual {worst_resid:.2e}")
     assert worst_resid <= 0.1
     assert all(v == "PASS" for v in verdicts)
 

@@ -143,6 +143,7 @@ def test_parse_rejects_bad_fixture_values(fixture, key, bad):
     ("fixture", "sphere"),
     ("radii", "0.1,-0.2"),
     ("radii", "0.2,0.1"),
+    ("radii", "0.1"),
     ("cone.theta", "90"),
     ("rel_tol", "-0.01"),
 ])
@@ -298,6 +299,12 @@ def test_diagnose_stored_field_all_pass(tmp_path, stored_two_plane):
     assert all(v == "PASS" for v in verdicts.values())
     for name in ("curve.csv", "jr_series.csv", "diagnostics.csv"):
         assert os.path.exists(os.path.join(out1, name))
+    with open(os.path.join(out1, "diagnostics.csv")) as fh:
+        rows = {r.split(",")[0]: r.strip().split(",")[1:] for r in fh.readlines()[1:]}
+    # the regular-point verdict is judged on the growth exponent, not on M
+    assert float(rows["growth_exponent"][0]) == pytest.approx(1.0, abs=0.01)
+    assert rows["growth_exponent"][1] == "PASS"
+    assert rows["growth_constant_M"][1] == ""
 
     # re-running on the stored field reproduces the stored verdicts
     assert cli.run(cli.parse_config(text), out_dir=out2, quiet=True) == 0
@@ -322,13 +329,14 @@ def test_diagnose_cone_axis_from_the_config(tmp_path, stored_two_plane):
 
 def test_diagnose_fresh_solve_with_all_defaults_passes(tmp_path):
     # no field: diagnose solves the default datum at nx = 65; its default
-    # radii start at fit_two_plane's 8h and its growth floor sits below Lip
+    # radii start at fit_two_plane's 8h, and its point grows linearly
     out = str(tmp_path / "d")
     assert cli.run(cli.parse_config("command = diagnose\n"), out_dir=out, quiet=True) == 0
     man = read_manifest(out)
     assert set(man["verdicts"]) == {"boundary_consistency", "regular_point", "jr_monotone",
                                     "alpha_beta", "cone_monotone"}
     assert man["telemetry"]["radii"] == pytest.approx([0.125, 0.15, 0.175, 0.2], abs=1e-15)
+    assert man["telemetry"]["growth_exponent"] == pytest.approx(1.0, abs=0.01)
     # where 8h reaches extent / 5 there are no default radii, and the run says so
     coarse = str(tmp_path / "c")
     text = "command = diagnose\ngrid.nx = 33\n"
@@ -364,6 +372,15 @@ def test_diagnose_degenerate_field_exits_one(tmp_path):
     cfg = cli.parse_config(make_config(command="diagnose", field=path))
     assert cli.run(cfg, out_dir=out, quiet=True) == 1
     assert all(v == "DEGENERATE" for v in read_manifest(out)["verdicts"].values())
+
+
+def test_diagnose_x0_outside_the_field_exits_two(tmp_path, stored_two_plane):
+    out = str(tmp_path / "d")
+    cfg = cli.parse_config(make_config(command="diagnose", field=stored_two_plane,
+                                       x0="1.5,0.5"))
+    assert cli.run(cfg, out_dir=out, quiet=True) == 2
+    error = read_manifest(out)["error"]
+    assert error.startswith("ParseError") and "x0 = 1.5,0.5" in error
 
 
 def test_diagnose_missing_field_exits_two(tmp_path):

@@ -9,11 +9,14 @@ from pucci_lab import (
     ConeSpec,
     ConfigurationError,
     DomainError,
+    Ellipticity,
     FreeBoundaryCurve,
     GridField,
     GridSpec,
     InputError,
+    OperatorPair,
     SlopeFit,
+    SolveConfig,
     ball_sup,
     bilinear_sample,
     bilinear_shift,
@@ -22,10 +25,12 @@ from pucci_lab import (
     classify_regular,
     curve_to_csv,
     epsilon_monotonicity,
+    epsilon_sweep,
     extract_zero_set,
     fit_two_plane,
     flatness_measure,
     make_fixture,
+    make_grid,
 )
 from pucci_lab import freeboundary
 
@@ -254,6 +259,8 @@ def test_classify_regular_samples_every_circle_in_one_call(monkeypatch):
     growth = [sups[m, r] / r for m in ("plus", "minus") for r in radii]
     assert rec.c_lower == min(growth)
     assert rec.C_upper == max(growth)
+    slope = np.polyfit(np.log(radii), np.log([sups["abs", r] for r in radii]), 1)[0]
+    assert rec.growth_exponent == pytest.approx(slope, rel=1e-12)
 
 
 def test_classify_regular_even_plane():
@@ -264,6 +271,7 @@ def test_classify_regular_even_plane():
     assert rec.c_lower == pytest.approx(1.0, abs=5e-3)
     assert rec.C_upper == pytest.approx(1.0, abs=5e-3)
     assert rec.zero_density == pytest.approx(0.5, abs=0.02)
+    assert rec.growth_exponent == pytest.approx(1.0, abs=5e-3)
     assert rec.is_regular
 
 
@@ -283,20 +291,62 @@ def test_classify_quadratic_degenerate_point():
     u = GridField(g, (xx - 0.5) ** 2 + (yy - 0.5) ** 2)
     rec = classify_regular(u, (0.5, 0.5), (0.1, 0.2))
     assert rec.M == pytest.approx(0.1, rel=2e-2)
+    assert rec.growth_exponent == pytest.approx(2.0, abs=1e-2)
     assert not rec.is_regular
-    # the floor is a configured convention, honored when lowered
-    assert classify_regular(u, (0.5, 0.5), (0.1, 0.2), m_min=0.05).is_regular
+
+
+def test_classify_zero_field_is_not_regular():
+    # u vanishes to every order: the exponent is infinite, with no log(0)
+    u = GridField(GridSpec(65), np.zeros((65, 65)))
+    rec = classify_regular(u, (0.5, 0.5), (0.1, 0.2))
+    assert rec.growth_exponent == math.inf
+    assert not rec.is_regular
+
+
+@pytest.fixture(scope="module")
+def pucci_cross():
+    """Pucci (1, 2) G_eps limit of the cross datum, +sin^2(pi y) on the left
+    and right edges and -sin^2(pi x) on the top and bottom: u -> -u after a
+    quarter turn preserves the problem, so the centre is a zero where the
+    four nodal sectors meet, with grad u = 0."""
+    g = GridSpec(129)
+    datum = make_grid(g, lambda x, y: np.where((x == 0.0) | (x == 1.0),
+                                               np.sin(np.pi * y) ** 2, -np.sin(np.pi * x) ** 2))
+    rep = epsilon_sweep(datum, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), SolveConfig(tol=1e-9),
+                        OperatorPair.pucci(Ellipticity(1.0, 2.0)))
+    assert rep.all_converged
+    return rep.limit
+
+
+def test_classify_cross_centre_is_singular(pucci_cross):
+    # the four-sector wedge solution grows like r^2.56 (2.55 measured here)
+    rec = classify_regular(pucci_cross, (0.5, 0.5), (0.05, 0.1, 0.2))
+    assert rec.growth_exponent >= 2.3
+    assert not rec.is_regular
+
+
+def test_classify_cross_arm_point_beside_the_centre_is_regular(pucci_cross):
+    # its slope is small, M about 0.72 against a whole-field Lip of about
+    # 6.4, but its growth is linear (exponent 1.21 measured here)
+    curve = extract_zero_set(pucci_cross)
+    arm = 0.5 + 0.2 / math.sqrt(2.0)
+    x0 = tuple(curve.vertices[curve.nearest_vertex((arm, arm))])
+    rec = classify_regular(pucci_cross, x0, (0.025, 0.05, 0.1))
+    assert rec.growth_exponent < 1.3
+    assert rec.is_regular
 
 
 def test_classify_regular_input_errors():
     g = GridSpec(129)
     u = make_fixture(g, "two_plane", alpha=1.0, beta=1.0, angle=0.0)
     with pytest.raises(DomainError):
-        classify_regular(u, (0.9, 0.5), (0.2,))
+        classify_regular(u, (0.9, 0.5), (0.1, 0.2))
     with pytest.raises(InputError):
         classify_regular(u, (0.5, 0.5), ())
-    with pytest.raises(InputError):
-        classify_regular(u, (0.5, 0.5), (-0.1,))
+    # a slope needs two radii, in increasing order
+    for radii in ((-0.1,), (0.1,), (0.2, 0.1)):
+        with pytest.raises(InputError, match="at least two"):
+            classify_regular(u, (0.5, 0.5), radii)
 
 
 @pytest.mark.parametrize("radii", [(math.nan,), (0.1, math.nan), (0.1, math.inf)])
