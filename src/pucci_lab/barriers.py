@@ -205,12 +205,13 @@ def sandwich_check(u: GridField, lower: GridField, upper: GridField,
 
 # --- named fixtures -------------------------------------------------------
 #
+# FIXTURE_BUILDERS at the bottom is the one description of a fixture: its
+# name, and its builder's keyword parameters, defaults and range rules.
 # Scalar fixtures return one GridField (a Dirichlet datum or a reference
-# field); "split_supports" and "edge_bumps" return the (f1, f2) pair for the
-# two-species problem.
+# field); the PAIR_FIXTURES return the (f1, f2) pair for the two-species
+# problem.  A fixture built around a point takes it as ``center``.
 
-FIXTURES = ("psi", "two_plane", "radial_pucci", "harmonic_quadratic",
-            "sign_change", "split_supports", "edge_bumps")
+PAIR_FIXTURES = ("split_supports", "edge_bumps")
 
 
 def _center_floored_dist(gspec: GridSpec, center) -> np.ndarray:
@@ -222,11 +223,11 @@ def _center_floored_dist(gspec: GridSpec, center) -> np.ndarray:
 
 
 def make_fixture(gspec: GridSpec, name: str, **params):
-    if name not in FIXTURES:
+    if name not in FIXTURE_BUILDERS:
         raise ConfigurationError(
             f"unknown fixture {name!r}; known: {', '.join(FIXTURES)}"
         )
-    return _FIXTURE_BUILDERS[name](gspec, **params)
+    return FIXTURE_BUILDERS[name](gspec, **params)
 
 
 def _fixture_psi(gspec: GridSpec, c: float = 1.0, r: float = 0.4,
@@ -237,8 +238,8 @@ def _fixture_psi(gspec: GridSpec, c: float = 1.0, r: float = 0.4,
 
 
 def _fixture_two_plane(gspec: GridSpec, alpha: float = 1.0, beta: float = 2.0,
-                       angle: float = 0.0, x0=(0.5, 0.5)) -> GridField:
-    return two_plane_field(TwoPlaneSpec.from_angle(alpha, beta, angle, tuple(x0)), gspec)
+                       angle: float = 0.0, center=(0.5, 0.5)) -> GridField:
+    return two_plane_field(TwoPlaneSpec.from_angle(alpha, beta, angle, tuple(center)), gspec)
 
 
 def _fixture_radial_pucci(gspec: GridSpec, r: float = 0.4, center=(0.5, 0.5),
@@ -252,30 +253,31 @@ def _fixture_radial_pucci(gspec: GridSpec, r: float = 0.4, center=(0.5, 0.5),
     return GridField(gspec, _annulus_power_law(gamma_exponent(Ellipticity(lam, Lam)), r / dist))
 
 
-def _fixture_harmonic_quadratic(gspec: GridSpec, center=(0.0, 0.0)) -> GridField:
+def _fixture_harmonic_quadratic(gspec: GridSpec) -> GridField:
+    """x^2 - y^2, harmonic with its saddle at the coordinate origin."""
     xx, yy = gspec.node_coords()
-    return GridField(gspec, (xx - center[0]) ** 2 - (yy - center[1]) ** 2)
+    return GridField(gspec, xx ** 2 - yy ** 2)
 
 
 def _fixture_sign_change(gspec: GridSpec, angle: float = 22.5,
-                         amplitude: float = 0.002, x0=(0.5, 0.5)) -> GridField:
-    """Tilted plane through x0 plus a boundary-active smooth wiggle."""
+                         amplitude: float = 0.002, center=(0.5, 0.5)) -> GridField:
+    """Tilted plane through center plus a boundary-active smooth wiggle."""
     a = math.radians(angle)
     xx, yy = gspec.node_coords()
-    plane = (xx - x0[0]) * math.cos(a) + (yy - x0[1]) * math.sin(a)
+    plane = (xx - center[0]) * math.cos(a) + (yy - center[1]) * math.sin(a)
     wiggle = amplitude * np.cos(2.0 * np.pi * xx) * np.cos(np.pi * yy)
     return GridField(gspec, plane + wiggle)
 
 
 def _fixture_split_supports(gspec: GridSpec, angle: float = 20.0,
-                            dead_band: float = 0.1, x0=(0.5, 0.5)):
+                            dead_band: float = 0.1, center=(0.5, 0.5)):
     """Positive/negative parts of a tilted plane, pushed apart by a dead band
     so the two boundary supports are disjoint."""
     if not (dead_band > 0.0):
         raise ConfigurationError(f"dead_band must be positive, got {dead_band!r}")
     a = math.radians(angle)
     xx, yy = gspec.node_coords()
-    plane = (xx - x0[0]) * math.cos(a) + (yy - x0[1]) * math.sin(a)
+    plane = (xx - center[0]) * math.cos(a) + (yy - center[1]) * math.sin(a)
     f1 = GridField(gspec, np.maximum(plane - dead_band / 2.0, 0.0))
     f2 = GridField(gspec, np.maximum(-plane - dead_band / 2.0, 0.0))
     return f1, f2
@@ -295,7 +297,7 @@ def _fixture_edge_bumps(gspec: GridSpec, amplitude: float = 60.0):
     return f1, f2
 
 
-_FIXTURE_BUILDERS = {
+FIXTURE_BUILDERS = {
     "psi": _fixture_psi,
     "two_plane": _fixture_two_plane,
     "radial_pucci": _fixture_radial_pucci,
@@ -304,3 +306,5 @@ _FIXTURE_BUILDERS = {
     "split_supports": _fixture_split_supports,
     "edge_bumps": _fixture_edge_bumps,
 }
+# a live view, so a builder registered later is a known name everywhere
+FIXTURES = FIXTURE_BUILDERS.keys()

@@ -13,8 +13,10 @@ Each value is checked as it is parsed.  A key whose rule the library states
 (the grid, ellipticity, scheme, solver, eps-ladder, cone and radii keys) is
 checked by the library object it configures or by the library's radii rule,
 so a bad value's message is the library's own; the other keys carry the
-CLI's own rules.  A parse error names the offending key and, where the
-config sets it, its line.
+CLI's own rules.  A ``fixture.*`` key is checked by building the configured
+fixture with its value, and a key that fixture does not read is unchecked.
+A parse error names the offending key and, where the config sets it, its
+line.
 
 Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
 written atomically) echoing the full config with defaults, a hash of that
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -39,7 +42,9 @@ import numpy as np
 
 from . import __version__
 from .barriers import (
+    FIXTURE_BUILDERS,
     FIXTURES,
+    PAIR_FIXTURES,
     make_fixture,
     radial_profile,
 )
@@ -76,7 +81,6 @@ from .solver import (
 )
 
 COMMANDS = ("solve", "segregate", "sweep", "diagnose", "verify")
-_PAIR_FIXTURES = ("split_supports", "edge_bumps")
 _CLI_FAMILIES = ("full_pucci", "identity_only", "frobenius_ball")
 
 
@@ -111,17 +115,14 @@ def _one_of(names, note: str = ""):
     return lambda v: _require(v in names, f"must be one of {', '.join(names)}{note}", v)
 
 
-def _positive(v) -> None:
-    _require(v > 0.0, "must be positive", v)
-
-
 _family = _one_of(_CLI_FAMILIES,
                   " (finite sets need explicit members and are not line-configurable)")
 
 # key -> (value parser, check, default); None default means "unset".  A check
 # raises ValueError on a bad parsed value.  Where the library states the rule,
 # the check builds the object the key configures or applies that rule, so the
-# rule is written once and the message is the library's own.
+# rule is written once and the message is the library's own.  The fixture.*
+# keys are checked by _check_config, which knows the configured fixture.
 _KEYS: dict = {
     "command": (str, _one_of(COMMANDS), None),
     "grid.nx": (int, GridSpec, 65),
@@ -141,14 +142,14 @@ _KEYS: dict = {
     "eps": (_p_float, lambda v: SolveConfig(eps=v), 0.05),
     "eps_list": (_p_floats, eps_ladder, (0.2, 0.1, 0.05, 0.025)),
     "fixture": (str, _one_of(FIXTURES), "sign_change"),
-    "fixture.alpha": (_p_float, _positive, 1.0),
-    "fixture.beta": (_p_float, _positive, 2.0),
+    "fixture.alpha": (_p_float, None, 1.0),
+    "fixture.beta": (_p_float, None, 2.0),
     "fixture.angle": (_p_float, None, 22.5),
     "fixture.amplitude": (_p_float, None, 0.002),
-    "fixture.dead_band": (_p_float, _positive, 0.1),
-    "fixture.c": (_p_float, _positive, 1.0),
-    "fixture.r": (_p_float, _positive, 0.4),
-    "fixture.gamma": (_p_float, _positive, 1.0),
+    "fixture.dead_band": (_p_float, None, 0.1),
+    "fixture.c": (_p_float, None, 1.0),
+    "fixture.r": (_p_float, None, 0.4),
+    "fixture.gamma": (_p_float, None, 1.0),
     "field": (str, None, None),
     "radii": (_p_floats, require_radii, None),  # None: _default_radii of the field's grid
     "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0.0, v), 60.0),
@@ -169,16 +170,9 @@ class RunConfig:
         return self.table[key]
 
     def echo_lines(self) -> list[str]:
-        out = []
-        for key in sorted(self.table):
-            v = self.table[key]
-            if v is None:
-                continue
-            if isinstance(v, tuple):
-                out.append(f"{key} = {','.join(f'{x:g}' for x in v)}")
-            else:
-                out.append(f"{key} = {v}")
-        return out
+        # str keeps every digit of a float, so the echo parses back exactly
+        return [f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+                for k, v in sorted(self.table.items()) if v is not None]
 
 
 def _fail(msg: str, line: int | None = None, key: str | None = None):
@@ -217,21 +211,26 @@ def parse_config(text: str) -> RunConfig:
 def _check_config(table: dict, seen: dict):
     if table["command"] is None:
         _fail("config must set 'command'", key="command")
-    # sign_change takes any amplitude, edge_bumps only a positive one
-    if table["fixture"] == "edge_bumps" and not table["fixture.amplitude"] > 0.0:
-        _fail(f"edge_bumps needs a positive fixture.amplitude, got {table['fixture.amplitude']}",
-              seen["fixture.amplitude"], "fixture.amplitude")
+    # each fixture.* key the configured fixture reads is checked by building
+    # that fixture with the one value, so the rule is the builder's own
+    for p in inspect.signature(FIXTURE_BUILDERS[table["fixture"]]).parameters:
+        key = f"fixture.{p}"
+        if key in table:
+            try:
+                make_fixture(GridSpec(5), table["fixture"], **{p: table[key]})
+            except ValueError as exc:
+                _fail(f"bad value for {key}: {exc}", seen.get(key), key)
     # a fixture the command cannot run is blamed on its own line, or on the
     # command's when the fixture is the default
     blame = "fixture" if "fixture" in seen else "command"
-    if table["command"] == "segregate" and table["fixture"] not in _PAIR_FIXTURES:
+    if table["command"] == "segregate" and table["fixture"] not in PAIR_FIXTURES:
         _fail(
-            f"segregate needs a two-species fixture ({', '.join(_PAIR_FIXTURES)}), "
+            f"segregate needs a two-species fixture ({', '.join(PAIR_FIXTURES)}), "
             f"got {table['fixture']!r}", seen[blame], blame)
     scalar_needed = table["command"] in ("solve", "sweep") or (
         table["command"] == "diagnose" and table["field"] is None
     )
-    if scalar_needed and table["fixture"] in _PAIR_FIXTURES:
+    if scalar_needed and table["fixture"] in PAIR_FIXTURES:
         _fail(f"{table['command']} needs a scalar fixture, got {table['fixture']!r}",
               seen[blame], blame)
 
@@ -270,26 +269,15 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
 
 
 def _fixture_kwargs(cfg: RunConfig) -> dict:
-    name = cfg["fixture"]
-    per = {
-        "psi": ("c", "r", "gamma"),
-        "two_plane": ("alpha", "beta", "angle"),
-        "radial_pucci": ("r",),
-        "harmonic_quadratic": (),
-        "sign_change": ("angle", "amplitude"),
-        "split_supports": ("angle", "dead_band"),
-        "edge_bumps": ("amplitude",),
-    }[name]
-    kw = {p: cfg[f"fixture.{p}"] for p in per}
-    center = _grid_center(_grid_spec(cfg))
-    if name in ("psi", "radial_pucci"):
-        kw["center"] = center
-    elif name in ("two_plane", "sign_change", "split_supports"):
-        kw["x0"] = center
-    if name == "radial_pucci":
-        kw["lam"] = cfg["ell.lambda"]
-        kw["Lam"] = cfg["ell.Lambda"]
-    return kw
+    """The arguments the fixture's builder reads: ``center`` is the grid's
+    centre, ``lam`` and ``Lam`` come from ell.*, a ``fixture.<p>`` key sets
+    ``p``, and every other parameter keeps the builder's default."""
+    source = {k.removeprefix("fixture."): v for k, v in cfg.table.items()
+              if k.startswith("fixture.")}
+    source.update(center=_grid_center(_grid_spec(cfg)), lam=cfg["ell.lambda"],
+                  Lam=cfg["ell.Lambda"])
+    params = inspect.signature(FIXTURE_BUILDERS[cfg["fixture"]]).parameters
+    return {p: source[p] for p in params if p in source}
 
 
 def _build_fixture(cfg: RunConfig):
@@ -398,13 +386,15 @@ def _diagnose_field(cfg: RunConfig) -> GridField:
 
 
 @contextlib.contextmanager
-def _or_degenerate(rows: list, verdicts: dict, name: str, metric: str):
+def _or_degenerate(man: _Manifest, rows: list, name: str, metric: str):
     """Run one diagnostic's block; if it raises ValueError, its verdict
-    ``name`` is DEGENERATE and its ``metric`` row NaN."""
+    ``name`` is DEGENERATE, its ``metric`` row NaN, and the telemetry's
+    ``degenerate`` table gives the error as its reason."""
     try:
         yield
-    except ValueError:
-        verdicts[name] = "DEGENERATE"
+    except ValueError as exc:
+        man.data["verdicts"][name] = "DEGENERATE"
+        man.data["telemetry"].setdefault("degenerate", {})[name] = f"{type(exc).__name__}: {exc}"
         rows.append((metric, math.nan, "DEGENERATE"))
 
 
@@ -430,7 +420,7 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
 
         if curve.is_empty:
             for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone"):
-                with _or_degenerate(rows, verdicts, name, name):
+                with _or_degenerate(man, rows, name, name):
                     raise ValueError("no zero set")
         else:
             x0 = cfg["x0"] if cfg["x0"] is not None else \
@@ -438,7 +428,7 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
             radii = cfg["radii"] or _default_radii(spec)
             man.data["telemetry"]["radii"] = list(radii)
 
-            with _or_degenerate(rows, verdicts, "regular_point", "growth_exponent"):
+            with _or_degenerate(man, rows, "regular_point", "growth_exponent"):
                 rec = classify_regular(u, x0, radii)
                 man.data["telemetry"].update(M=rec.M, growth_exponent=rec.growth_exponent,
                                              c_lower=rec.c_lower, C_upper=rec.C_upper,
@@ -447,14 +437,14 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
                 rows.append(("growth_constant_M", rec.M, ""))
                 rows.append(("growth_exponent", rec.growth_exponent, verdicts["regular_point"]))
 
-            with _or_degenerate(rows, verdicts, "jr_monotone", "jr_constancy_defect"):
+            with _or_degenerate(man, rows, "jr_monotone", "jr_constancy_defect"):
                 series, sv = j_series_check(u, x0, radii)
                 series_to_csv(series, man.emit("jr_series.csv"))
                 rows.append(("jr_constancy_defect", sv.constancy_defect, sv.verdict))
                 verdicts["jr_monotone"] = sv.verdict
 
             fit = None
-            with _or_degenerate(rows, verdicts, "alpha_beta", "alpha_beta"):
+            with _or_degenerate(man, rows, "alpha_beta", "alpha_beta"):
                 fit = fit_two_plane(u, x0, tuple(reversed(radii)))
                 rows.append(("fit_alpha", fit.alpha, ""))
                 rows.append(("fit_beta", fit.beta, ""))
@@ -465,13 +455,15 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
             flat = flatness_measure(u, x0, min(radii))
             rows.append(("flatness", flat, ""))
 
-            with _or_degenerate(rows, verdicts, "cone_monotone", "epsilon_monotonicity"):
+            with _or_degenerate(man, rows, "cone_monotone", "epsilon_monotonicity"):
                 if cfg["cone.angle"] is not None:
                     cone = ConeSpec.from_degrees(cfg["cone.angle"], cfg["cone.theta"])
                 elif fit is not None:
                     cone = ConeSpec(fit.nu, math.radians(cfg["cone.theta"]))
                 else:
-                    raise ParseError("no cone axis: set cone.angle or let the fit succeed")
+                    why = man.data["telemetry"]["degenerate"]["alpha_beta"]
+                    raise ParseError("no cone axis: set cone.angle or let the fit succeed "
+                                     f"(it raised {why})")
                 margin = min(x0[0] - spec.origin[0], x0[1] - spec.origin[1],
                              spec.origin[0] + spec.extent - x0[0],
                              spec.origin[1] + spec.extent - x0[1])

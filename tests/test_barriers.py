@@ -285,6 +285,24 @@ def test_fixture_parameter_validation():
         make_fixture(g, "psi", gamma=-1.0)
 
 
+def test_point_fixtures_are_anchored_at_center():
+    # node (4, 12) of the 17^2 grid sits at (0.25, 0.75)
+    g, center = GridSpec(17), (0.25, 0.75)
+    assert make_fixture(g, "two_plane", center=center).values[4, 12] == 0.0
+    assert make_fixture(g, "sign_change", amplitude=0.0, center=center).values[4, 12] == 0.0
+    f1, f2 = make_fixture(g, "split_supports", center=center)
+    assert f1.values[4, 12] == f2.values[4, 12] == 0.0
+    for name in ("psi", "radial_pucci"):
+        fld = make_fixture(g, name, center=center)
+        assert np.unravel_index(np.argmax(fld.values), fld.values.shape) == (4, 12)
+
+
+def test_harmonic_quadratic_is_x2_minus_y2():
+    g = GridSpec(9, 2.0, (-1.0, -1.0))
+    xx, yy = g.node_coords()
+    assert np.array_equal(make_fixture(g, "harmonic_quadratic").values, xx ** 2 - yy ** 2)
+
+
 def test_radial_pucci_fixture_at_equal_bounds_is_the_log_profile():
     # gamma = 0 at lam = Lam: the annulus solution is log(r / d) / log 2
     g = GridSpec(65)

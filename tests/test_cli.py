@@ -8,6 +8,7 @@ import pytest
 
 from pucci_lab import (
     ConeSpec,
+    FIXTURES,
     ConfigurationError,
     Ellipticity,
     GridField,
@@ -18,6 +19,7 @@ from pucci_lab import (
     SchemeSpec,
     SolveConfig,
     SymMat2,
+    barriers,
     cli,
     field_from_csv,
     field_to_csv,
@@ -45,6 +47,25 @@ def test_parse_defaults_and_echo():
     lines = cfg.echo_lines()
     assert lines == sorted(lines)
     assert "eps_list = 0.2,0.1,0.05,0.025" in lines
+
+
+def test_echo_keeps_every_digit_of_a_list(tmp_path):
+    def config_hash(text):
+        return cli._Manifest(cli.parse_config(text), str(tmp_path)).data["config_hash"]
+
+    assert (config_hash("command = solve\nradii = 0.1000001,0.2\n")
+            != config_hash("command = solve\nradii = 0.1,0.2\n"))
+    assert "grid.origin = 0.0,0.0" in cli.parse_config("command = solve\n").echo_lines()
+
+
+@pytest.mark.parametrize("text", [
+    "command = diagnose\nradii = 0.1000001,0.2\nx0 = 0.30000000000000004,0.5\n",
+    "command = segregate\nfixture = edge_bumps\nfixture.amplitude = 1e-07\n",
+    "command = sweep\neps_list = 0.2,0.1,0.05,0.012345678901234\ngrid.origin = -0.5,1e-20\n",
+])
+def test_echo_parses_back_to_the_same_table(text):
+    cfg = cli.parse_config(text)
+    assert cli.parse_config("\n".join(cfg.echo_lines())).table == cfg.table
 
 
 def test_parse_comments_and_blank_lines():
@@ -161,6 +182,40 @@ def test_parse_rejects_nonpositive_edge_bumps_amplitude():
     assert (exc.value.key, exc.value.line) == ("fixture.amplitude", 2)
 
 
+# each range rule a fixture builder states: (fixture, parameter, bad values)
+_BUILDER_RULES = [
+    ("two_plane", "alpha", ("0", "-1")),
+    ("two_plane", "beta", ("0", "-2")),
+    ("split_supports", "dead_band", ("0", "-0.1")),
+    ("psi", "c", ("0", "-1")),
+    ("psi", "r", ("0",)),
+    ("psi", "gamma", ("0",)),
+    ("radial_pucci", "r", ("0",)),
+    ("edge_bumps", "amplitude", ("0", "-60")),
+]
+
+
+@pytest.mark.parametrize("fixture, param, bads", _BUILDER_RULES,
+                         ids=[f"{f}.{p}" for f, p, _ in _BUILDER_RULES])
+def test_parse_fixture_rule_is_the_builders(fixture, param, bads):
+    command = "segregate" if fixture in barriers.PAIR_FIXTURES else "solve"
+    key = f"fixture.{param}"
+    for bad in bads:
+        with pytest.raises(ConfigurationError) as lib:
+            make_fixture(GridSpec(5), fixture, **{param: float(bad)})
+        with pytest.raises(ParseError) as exc:
+            cli.parse_config(f"command = {command}\nfixture = {fixture}\n{key} = {bad}\n")
+        assert (exc.value.key, exc.value.line) == (key, 3)
+        assert str(lib.value) in str(exc.value)
+
+
+def test_parse_leaves_a_key_the_fixture_does_not_read_unchecked():
+    # psi reads no alpha: the value configures nothing, so nothing rejects it
+    cfg = cli.parse_config("command = solve\nfixture = psi\nfixture.alpha = -1\n")
+    assert cfg["fixture.alpha"] == -1.0
+    assert "alpha" not in cli._fixture_kwargs(cfg)
+
+
 def test_parse_eps_list_ordering():
     cfg = cli.parse_config("command = sweep\neps_list = 0.2,0.1,0.05\n")
     assert cfg["eps_list"] == (0.2, 0.1, 0.05)
@@ -260,6 +315,31 @@ def test_fixtures_are_centred_on_an_offset_grid(tmp_path):
     psi = cli._build_fixture(cli.parse_config(make_config(command="solve", fixture="psi", **base)))
     peak = np.unravel_index(np.argmax(psi.values), psi.values.shape)
     assert peak == (8, 8)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_every_registered_fixture_builds_through_the_cli(name):
+    command = "segregate" if name in barriers.PAIR_FIXTURES else "solve"
+    cfg = cli.parse_config(make_config(command=command, fixture=name, **{"grid.nx": 17}))
+    built = cli._build_fixture(cfg)
+    fields = built if name in barriers.PAIR_FIXTURES else (built,)
+    assert len(fields) == (2 if name in barriers.PAIR_FIXTURES else 1)
+    for fld in fields:
+        assert isinstance(fld, GridField) and fld.spec == GridSpec(17)
+        assert np.all(np.isfinite(fld.values))
+
+
+def test_a_builder_in_the_registry_alone_reaches_the_cli(tmp_path, monkeypatch):
+    def ramp(gspec, tilt: float = 2.0):
+        xx, _ = gspec.node_coords()
+        return GridField(gspec, tilt * xx)
+
+    monkeypatch.setitem(barriers.FIXTURE_BUILDERS, "ramp", ramp)
+    cfg = cli.parse_config(make_config(command="solve", op="laplacian", fixture="ramp",
+                                       **{"grid.nx": 17}))
+    xx, _ = GridSpec(17).node_coords()
+    assert np.array_equal(cli._build_fixture(cfg).values, 2.0 * xx)
+    assert cli.run(cfg, out_dir=str(tmp_path / "ramp"), quiet=True) == 0
 
 
 def test_segregate_manifest_reports_why_it_stopped(tmp_path):
@@ -371,7 +451,26 @@ def test_diagnose_degenerate_field_exits_one(tmp_path):
     out = str(tmp_path / "d")
     cfg = cli.parse_config(make_config(command="diagnose", field=path))
     assert cli.run(cfg, out_dir=out, quiet=True) == 1
-    assert all(v == "DEGENERATE" for v in read_manifest(out)["verdicts"].values())
+    man = read_manifest(out)
+    assert all(v == "DEGENERATE" for v in man["verdicts"].values())
+    assert man["telemetry"]["degenerate"] == {
+        name: "ValueError: no zero set"
+        for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone")}
+
+
+def test_diagnose_records_why_each_verdict_is_degenerate(tmp_path):
+    path = str(tmp_path / "tp.csv")
+    field_to_csv(make_fixture(GridSpec(129), "two_plane"), path)
+    out = str(tmp_path / "d")
+    cfg = cli.parse_config(make_config(command="diagnose", field=path, x0="0.05,0.5"))
+    assert cli.run(cfg, out_dir=out, quiet=True) == 1
+    man = read_manifest(out)
+    reasons = man["telemetry"]["degenerate"]
+    assert set(reasons) == {"regular_point", "jr_monotone", "alpha_beta", "cone_monotone"}
+    assert all(man["verdicts"][name] == "DEGENERATE" for name in reasons)
+    for reason in reasons.values():
+        assert "ball of radius" in reason and "(0.05, 0.5)" in reason
+    assert reasons["regular_point"].startswith("DomainError: ")
 
 
 def test_diagnose_x0_outside_the_field_exits_two(tmp_path, stored_two_plane):
