@@ -412,11 +412,14 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
         curve_to_csv(curve, man.emit("curve.csv"))
 
         bc = boundary_consistency(u)
-        # the level-pair gap is >= 2h even on exactly coincident phases, so
-        # the bound is one cell above it (acceptance criterion 11's 3h)
-        bc_v = "DEGENERATE" if math.isnan(bc) else ("PASS" if bc <= 3.0 * spec.h else "FAIL")
-        rows.append(("boundary_consistency", bc, bc_v))
-        verdicts["boundary_consistency"] = bc_v
+        with _or_degenerate(man, rows, "boundary_consistency", "boundary_consistency"):
+            if math.isnan(bc):
+                raise ValueError("boundary_consistency is NaN: a phase is missing or no "
+                                 "level-curve vertex lies 4h from the walls")
+            # the level-pair gap is >= 2h even on exactly coincident phases,
+            # so the bound is one cell above it (acceptance criterion 11's 3h)
+            verdicts["boundary_consistency"] = bc_v = "PASS" if bc <= 3.0 * spec.h else "FAIL"
+            rows.append(("boundary_consistency", bc, bc_v))
 
         if curve.is_empty:
             for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone"):

@@ -32,7 +32,10 @@ until the interior sup-norm of the residual falls.  It stops when that
 sup-norm reaches the tolerance ("tol"), when ``max_iter`` iterates have been
 evaluated ("budget"), or when no step lowers it ("stall").  Neither scheme is
 monotone, so convergence is measured, not proved, and a stall is reported
-rather than hidden.
+rather than hidden.  Without an initial guess both start from the discrete
+harmonic extension of their Dirichlet data (the ring and any frozen node, or
+each species' ring, clamped at 0): one held-row Newton direction of the
+5-point Laplacian, which the preconditioner inverts up to its scale.
 
 An unconverged solve returns its best iterate with ``converged=False``
 rather than raising; a non-finite starting residual raises
@@ -188,6 +191,7 @@ def solve_dirichlet(
     band = (minus or plus).ell
     precond = _PoissonPreconditioner(spec.nx - 2, spec.h, 0.5 * (band.lam + band.Lam))
     pad = np.zeros_like(u)
+    krylov = [] if initial is not None else [_harmonic_start(u, precond, pad, frozen_int, spec.h)]
 
     def direction(v, res_arr):
         _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
@@ -198,36 +202,36 @@ def solve_dirichlet(
 
         return _newton_direction(jac, res_arr, precond, frozen_int)
 
-    u, history, tel = _newton(u, residual, direction, cfg, spec)
+    u, history, tel = _newton(u, residual, direction, cfg, spec, krylov)
     out = GridField(spec, u)
     return SolveResult(out, np.asarray(history), lipschitz_seminorm(out), tel)
 
 
-def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec,
+def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: list,
             nonnegative: bool = False):
     """Damped Newton on the interior of ``u`` (a grid array, or a stack of
     them), the one loop of every solve.
 
     ``residual(u)`` returns the residual array and its sup-norm;
     ``direction(u, r)`` returns the Newton increment of the interior and its
-    Krylov iteration count, and may consume ``r``.  Each step halves from 1
-    down to MIN_STEP until the sup-norm falls; with ``nonnegative`` each
-    trial is clamped at 0 before its residual is evaluated.  Returns the last
-    iterate, the sup-norm history and the telemetry: the stop reason ("tol",
-    "budget" or "stall"), the total Krylov iterations and the number of
-    Newton steps whose Krylov solve ended at KRYLOV_MAX_ITER; every accepted
-    step lowers the residual, so the last iterate is the best.
+    Krylov iteration count, and may consume ``r``.  ``krylov`` lists the
+    iteration counts of the Krylov solves that made ``u`` (a cold start's),
+    and each step appends its own.  Each step halves from 1 down to MIN_STEP
+    until the sup-norm falls; with ``nonnegative`` each trial is clamped at 0
+    before its residual is evaluated.  Returns the last iterate, the
+    sup-norm history and the telemetry: the stop reason ("tol", "budget" or
+    "stall"), the total Krylov iterations and the number of Krylov solves
+    that ended at KRYLOV_MAX_ITER; every accepted step lowers the residual,
+    so the last iterate is the best.
     """
     res_arr, res = residual(u)
     if not np.isfinite(res):
         raise _blowup_error(res_arr, spec)
     history = [res]
-    krylov = capped = 0
     stop = "tol" if res <= cfg.tol else None
     while stop is None and len(history) < cfg.max_iter:
         delta, k = direction(u, res_arr)
-        krylov += k
-        capped += int(k == KRYLOV_MAX_ITER)
+        krylov.append(k)
         trial = u.copy()
         step = 1.0
         while True:
@@ -246,8 +250,28 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec,
             history.append(res)
             if res <= cfg.tol:
                 stop = "tol"
-    return u, history, {"stop_reason": stop or "budget", "krylov_iterations": krylov,
-                        "krylov_capped": capped}
+    return u, history, {"stop_reason": stop or "budget", "krylov_iterations": sum(krylov),
+                        "krylov_capped": krylov.count(KRYLOV_MAX_ITER)}
+
+
+def _harmonic_start(u, precond, pad, held, h) -> int:
+    """Replace the interior of ``u`` (a grid array, or a stack of them) by
+    the discrete harmonic extension of its ring and ``held`` values; returns
+    the Krylov iteration count.  It is one Newton direction of the 5-point
+    Laplacian, which ``precond`` inverts up to its scale, so that with no
+    held rows BiCGSTAB ends after one iteration."""
+    lap = (1.0, 1.0, 0.0)  # the Laplacian's policy coefficients
+
+    def jac(x):
+        pad[..., 1:-1, 1:-1] = x
+        return jacobian_apply(lap, None, pad, h)
+
+    r = jacobian_apply(lap, None, u, h)
+    if held is not None:
+        r[held] = 0.0
+    delta, k = _newton_direction(jac, r, precond, held)
+    u[..., 1:-1, 1:-1] += delta
+    return k
 
 
 def _newton_direction(jac_free, r, precond, held):
@@ -377,15 +401,17 @@ def solve_segregation(
 
     Dirichlet data must be nonnegative with disjoint supports; the result
     field is the pair (u1, u2) and the reported Lipschitz seminorm is that of
-    the limit candidate u1 - u2.  Without ``initial`` each species starts
-    from its uncoupled M- solve.  Every trial iterate is clamped at 0 before
-    its residual is evaluated, so the returned pair is >= 0 exactly whatever
-    the stop reason, and ``final_residual`` is its own sup |Phi|.  Cold starts
-    at the smallest eps can fail (tol 1e-8, cfl 1, ``edge_bumps``, nx = 9, 17
-    and 33, eps = 1e-4 to 1e-7): eps = 1e-7 at nx = 9 and at nx = 17 with
-    amplitude 60, and eps = 1e-6 at nx = 9 with amplitude 60, run out of the
-    default 100 iterates; eps = 1e-7 at nx = 33 with amplitude 60 stops on
-    ``stall`` after 49 iterates.
+    the limit candidate u1 - u2.  Without ``initial`` both species start
+    from the harmonic extension of their ring data, one (2, n, n) Laplacian
+    solve, clamped at 0.  Every trial iterate is clamped at 0 before its
+    residual is evaluated, so the returned pair is >= 0 exactly whatever the
+    stop reason, and ``final_residual`` is its own sup |Phi|.  Cold starts at
+    the smallest eps can fail (tol 1e-8, cfl 1, ``edge_bumps``, nx = 9, 17
+    and 33, amplitudes 1 and 60, eps = 1e-4 to 1e-7): eps = 1e-7 at nx = 9
+    and at nx = 17 with amplitude 60, and eps = 1e-6 at nx = 9 with
+    amplitude 60, run out of the default 100 iterates; eps = 1e-7 at nx = 33
+    with amplitude 60 stops on ``stall`` after 49 iterates.  The other 20
+    converge, in 8 to 93 iterates.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")
@@ -399,17 +425,7 @@ def solve_segregation(
         raise InputError("species boundary data must have disjoint supports")
     spec = f1.spec
     h, n = spec.h, spec.nx - 2
-    cold = {"krylov_iterations": 0, "krylov_capped": 0}
-    u = np.empty((2, spec.nx, spec.nx))
-    for i, f in enumerate((f1, f2)):
-        if initial is not None:
-            u[i] = _initial_values(f, initial[i])
-        else:  # the uncoupled species, under its own budget
-            start = solve_dirichlet(f, "M_minus", SolveConfig(cfg.scheme, cfg.tol), ell=ell)
-            u[i] = start.field.values
-            for key in cold:
-                cold[key] += start.telemetry[key]
-    np.clip(u, 0.0, None, out=u)
+    u = np.stack([_initial_values(f, w) for f, w in zip((f1, f2), initial or (None, None))])
     tau = cfg.cfl * h * h / (4.0 * ell.Lam)
     inv_eps = 1.0 / cfg.eps
 
@@ -440,9 +456,9 @@ def solve_segregation(
         phi[active] = v[active]
         return _newton_direction(jac, phi, precond, active)
 
-    u, history, tel = _newton(u, residual, direction, cfg, spec, nonnegative=True)
-    for key in cold:
-        tel[key] += cold[key]
+    krylov = [] if initial is not None else [_harmonic_start(u, precond, pads, None, h)]
+    np.clip(u, 0.0, None, out=u)
+    u, history, tel = _newton(u, residual, direction, cfg, spec, krylov, nonnegative=True)
     tel["overlap_sup"] = float((u[0] * u[1]).max())
     return SolveResult((GridField(spec, u[0]), GridField(spec, u[1])), np.asarray(history),
                        lipschitz_seminorm(GridField(spec, u[0] - u[1])), tel)

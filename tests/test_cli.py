@@ -453,7 +453,11 @@ def test_diagnose_degenerate_field_exits_one(tmp_path):
     assert cli.run(cfg, out_dir=out, quiet=True) == 1
     man = read_manifest(out)
     assert all(v == "DEGENERATE" for v in man["verdicts"].values())
-    assert man["telemetry"]["degenerate"] == {
+    reasons = man["telemetry"]["degenerate"]
+    assert set(reasons) == set(man["verdicts"]) and len(reasons) == 5
+    assert reasons.pop("boundary_consistency").startswith(
+        "ValueError: boundary_consistency is NaN: a phase is missing")
+    assert reasons == {
         name: "ValueError: no zero set"
         for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone")}
 

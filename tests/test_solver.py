@@ -221,6 +221,56 @@ def test_solvers_run_without_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def _five_point_laplacian(u, h):
+    return (u[..., 2:, 1:-1] + u[..., :-2, 1:-1] + u[..., 1:-1, 2:] + u[..., 1:-1, :-2]
+            - 4.0 * u[..., 1:-1, 1:-1]) / h**2
+
+
+@pytest.mark.parametrize("fixture", ["sign_change", "radial_pucci"])
+def test_cold_start_is_the_harmonic_extension(fixture):
+    # with max_iter = 1 a solve returns its start: the 5-point Laplacian of
+    # the start vanishes off the held nodes to BiCGSTAB's tolerance, far
+    # below that of the ring-mean fill it replaces
+    g = GridSpec(33)
+    datum = make_fixture(g, fixture)
+    cfg = SolveConfig(max_iter=1, eps=0.05)
+    if fixture == "sign_change":
+        frozen = np.zeros((33, 33), dtype=bool)
+        res = solve_dirichlet(datum, "G_eps", cfg, pair=PAIR)
+    else:
+        X, Y = g.node_coords()
+        frozen = np.hypot(X - 0.5, Y - 0.5) < 0.2
+        res = solve_dirichlet(datum, "M_minus", cfg, ell=Ellipticity(1.0, 2.0), frozen=frozen)
+    assert res.iterations == 1 and res.telemetry["stop_reason"] == "budget"
+    assert res.telemetry["krylov_iterations"] == (1 if fixture == "sign_change" else 4)
+    held = frozen | datum.boundary_mask
+    free = ~held[1:-1, 1:-1]
+    u = res.field.values
+    assert np.array_equal(u[held], datum.values[held])
+    assert datum.values[held].min() <= u.min() and u.max() <= datum.values[held].max()
+    fill = np.where(held, datum.values, datum.values[datum.boundary_mask].mean())
+    ring_mean = _five_point_laplacian(fill, g.h)[free]
+    lap = np.abs(_five_point_laplacian(u, g.h)[free]).max()
+    assert lap <= solver.KRYLOV_RTOL * np.linalg.norm(ring_mean)
+    assert lap <= 1e-6 * np.abs(ring_mean).max()
+
+
+@pytest.mark.parametrize("angle,amplitude", [(21.5, 0.0018), (23.5, 0.0022)])
+def test_cold_starts_take_few_newton_iterates(angle, amplitude):
+    # the cold solves of the benchmark's scalar workload, from the harmonic
+    # start: 4 iterates each (8 and 6 from the ring-mean fill)
+    datum = make_fixture(GridSpec(65), "sign_change", angle=angle, amplitude=amplitude)
+    res = solve_dirichlet(datum, "G_eps", SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), pair=PAIR)
+    assert res.telemetry["stop_reason"] == "tol" and res.iterations <= 5
+    g = GridSpec(33)
+    annulus = make_fixture(g, "radial_pucci")
+    X, Y = g.node_coords()
+    core = np.hypot(X - 0.5, Y - 0.5) < 0.2
+    res = solve_dirichlet(annulus, "M_minus", SolveConfig(tol=1e-8, cfl=1.0),
+                          ell=Ellipticity(1.0, 2.0), frozen=core)
+    assert res.telemetry["stop_reason"] == "tol" and res.iterations <= 5
+
+
 def test_warm_restart_is_immediate():
     g = GridSpec(33)
     datum = make_fixture(g, "sign_change")
@@ -452,11 +502,10 @@ def test_segregation_calls_each_kernel_once_on_the_stack(monkeypatch):
     spy("residual_interior")
     spy("linearize")
     f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
-    warm = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), ell=SEG_ELL)
-    shapes.clear()  # the cold start solves each species alone
-    res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.1), ell=SEG_ELL,
-                            initial=warm.field)
-    assert res.iterations >= 2
+    cold = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), ell=SEG_ELL)
+    warm = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.1), ell=SEG_ELL,
+                             initial=cold.field)
+    assert cold.iterations >= 2 and warm.iterations >= 2
     assert {name for name, _ in shapes} == {"residual_interior", "linearize"}
     assert {shape for _, shape in shapes} == {(2, 17, 17)}
 
@@ -467,6 +516,21 @@ def test_segregation_budget_returns_its_start():
     assert not res.converged and res.telemetry["stop_reason"] == "budget"
     assert res.iterations == 1 and res.final_residual == res.residual_history[0]
     _complementarity(res, f1, f2, 0.002)
+
+
+def test_segregation_cold_start_is_the_harmonic_extension():
+    # both species at once, on one (2, n, n) stack with no held rows: one
+    # BiCGSTAB iteration, then the clamp at 0
+    g = GridSpec(33)
+    f1, f2 = make_fixture(g, "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(max_iter=1, eps=0.002), ell=SEG_ELL)
+    assert res.iterations == 1 and res.telemetry["krylov_iterations"] == 1
+    for u, f in zip(res.field, (f1, f2)):
+        ring = f.boundary_mask
+        assert np.array_equal(u.values[ring], f.values[ring])
+        assert u.values.min() >= 0.0 and u.values.max() <= f.values[ring].max()
+        lap = _five_point_laplacian(u.values, g.h)
+        assert np.abs(lap).max() <= 1e-12 * np.abs(f.values).max() / g.h**2
 
 
 def test_segregation_stall_is_reported():
@@ -481,8 +545,9 @@ def test_segregation_stall_is_reported():
 
 
 def test_segregation_counts_capped_krylov_solves(monkeypatch):
-    # every Newton step whose BiCGSTAB ends at the cap is counted, those of
-    # the cold start's scalar solves included; a cap of 10 makes most do so
+    # every BiCGSTAB solve is counted, the cold start's harmonic extension
+    # included, and each Newton step whose solve ends at the cap; a cap of
+    # 10 makes most do so
     monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 10)
     counts = []
     bicgstab = solver._bicgstab
