@@ -7,7 +7,8 @@ policy (``operators.linearize``: the attaining matrix per node, plus
 H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
 Laplacian (a dense sine basis), (lam, Lam) the band of the families the
-selector runs, (1, 1) for the laplacian.  Frozen nodes are held rows:
+selector runs, (1, 1) for the laplacian, to a relative residual that is a
+forcing term with a floor (``_forcing``).  Frozen nodes are held rows:
 identity rows of J, which the preconditioner passes through and zeroes in
 the Laplacian's input.  The segregation system
 
@@ -66,8 +67,9 @@ from .operators import (
     residual_interior,
 )
 
-# Newton-Krylov constants: the BiCGSTAB relative tolerance and iteration cap
-# of each Newton step, and the smallest backtracking step tried
+# Newton-Krylov constants: BiCGSTAB's relative tolerance, the floor of each
+# Newton step's forcing term (``_forcing``), and its iteration cap; the
+# smallest backtracking step tried
 KRYLOV_RTOL = 1e-6
 KRYLOV_MAX_ITER = 500
 MIN_STEP = 2.0 ** -10
@@ -193,14 +195,14 @@ def solve_dirichlet(
     pad = np.zeros_like(u)
     krylov = [] if initial is not None else [_harmonic_start(u, precond, pad, frozen_int, spec.h)]
 
-    def direction(v, res_arr):
+    def direction(v, res_arr, eta):
         _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
 
         def jac(x):
             pad[1:-1, 1:-1] = x
             return jacobian_apply(coefs, diag, pad, spec.h)
 
-        return _newton_direction(jac, res_arr, precond, frozen_int)
+        return _newton_direction(jac, res_arr, precond, frozen_int, eta)
 
     u, history, tel = _newton(u, residual, direction, cfg, spec, krylov)
     out = GridField(spec, u)
@@ -208,21 +210,22 @@ def solve_dirichlet(
 
 
 def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: list,
-            nonnegative: bool = False):
+            nonnegative: bool = False, adaptive: bool = True):
     """Damped Newton on the interior of ``u`` (a grid array, or a stack of
     them), the one loop of every solve.
 
     ``residual(u)`` returns the residual array and its sup-norm;
-    ``direction(u, r)`` returns the Newton increment of the interior and its
-    Krylov iteration count, and may consume ``r``.  ``krylov`` lists the
-    iteration counts of the Krylov solves that made ``u`` (a cold start's),
-    and each step appends its own.  Each step halves from 1 down to MIN_STEP
-    until the sup-norm falls; with ``nonnegative`` each trial is clamped at 0
-    before its residual is evaluated.  Returns the last iterate, the
-    sup-norm history and the telemetry: the stop reason ("tol", "budget" or
-    "stall"), the total Krylov iterations and the number of Krylov solves
-    that ended at KRYLOV_MAX_ITER; every accepted step lowers the residual,
-    so the last iterate is the best.
+    ``direction(u, r, eta)`` returns the Newton increment of the interior,
+    solved to the relative tolerance ``eta = _forcing(history, cfg.tol,
+    adaptive)``, and its Krylov iteration count, and may consume ``r``.
+    ``krylov`` lists the iteration counts of the Krylov solves that made
+    ``u`` (a cold start's), and each step appends its own.  Each step halves
+    from 1 down to MIN_STEP until the sup-norm falls; with ``nonnegative``
+    each trial is clamped at 0 before its residual is evaluated.  Returns
+    the last iterate, the sup-norm history and the telemetry: the stop
+    reason ("tol", "budget" or "stall"), the total Krylov iterations and the
+    number of Krylov solves that ended at KRYLOV_MAX_ITER; every accepted
+    step lowers the residual, so the last iterate is the best.
     """
     res_arr, res = residual(u)
     if not np.isfinite(res):
@@ -230,7 +233,7 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: li
     history = [res]
     stop = "tol" if res <= cfg.tol else None
     while stop is None and len(history) < cfg.max_iter:
-        delta, k = direction(u, res_arr)
+        delta, k = direction(u, res_arr, _forcing(history, cfg.tol, adaptive))
         krylov.append(k)
         trial = u.copy()
         step = 1.0
@@ -254,6 +257,18 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: li
                         "krylov_capped": krylov.count(KRYLOV_MAX_ITER)}
 
 
+def _forcing(history, tol: float, adaptive: bool) -> float:
+    """The forcing term eta_k = min(0.5, max(KRYLOV_RTOL, psi_k, 0.5 tol /
+    |F_k|)) of the next inexact Newton step, |F_k| the last of the residual
+    sup-norms ``history``; the tol floor (Kelley 1995) keeps the last step
+    from solving past ``tol``.  With ``adaptive`` psi_k is Eisenstat &
+    Walker's choice 2 (SIAM J. Sci. Comput. 1996; gamma = 0.9, alpha = 2,
+    eta_max = 0.1): 0.1, then min(0.1, 0.9 (|F_k| / |F_k-1|)^2); else it is
+    KRYLOV_RTOL."""
+    psi = min(0.1, 0.9 * (history[-1] / history[-2]) ** 2) if len(history) > 1 else 0.1
+    return min(0.5, max(KRYLOV_RTOL, psi if adaptive else 0.0, 0.5 * tol / history[-1]))
+
+
 def _harmonic_start(u, precond, pad, held, h) -> int:
     """Replace the interior of ``u`` (a grid array, or a stack of them) by
     the discrete harmonic extension of its ring and ``held`` values; returns
@@ -269,14 +284,15 @@ def _harmonic_start(u, precond, pad, held, h) -> int:
     r = jacobian_apply(lap, None, u, h)
     if held is not None:
         r[held] = 0.0
-    delta, k = _newton_direction(jac, r, precond, held)
+    delta, k = _newton_direction(jac, r, precond, held, KRYLOV_RTOL)
     u[..., 1:-1, 1:-1] += delta
     return k
 
 
-def _newton_direction(jac_free, r, precond, held):
-    """Solve J delta = -r by preconditioned BiCGSTAB, the one linear solve of
-    every Newton step; returns delta and the iteration count.
+def _newton_direction(jac_free, r, precond, held, rtol):
+    """Solve J delta = -r to the relative residual ``rtol`` by preconditioned
+    BiCGSTAB, the one linear solve of every Newton step; returns delta and
+    the iteration count.
 
     ``jac_free(x)`` is the caller's Jacobian applied to x (an interior block,
     or a stack of them), read on the rows that are not ``held``.  The held
@@ -304,7 +320,7 @@ def _newton_direction(jac_free, r, precond, held):
             x += on * p
             return x
 
-    return _bicgstab(jac, psolve, np.negative(r, out=r))
+    return _bicgstab(jac, psolve, np.negative(r, out=r), rtol)
 
 
 def _dot(a, b) -> float:
@@ -315,14 +331,14 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
 
 
-def _bicgstab(jac, psolve, b):
+def _bicgstab(jac, psolve, b, rtol):
     """Right-preconditioned BiCGSTAB (van der Vorst 1992) from zero, to the
-    relative residual KRYLOV_RTOL; returns x and the iteration count.  A
+    relative residual ``rtol``; returns x and the iteration count.  A
     breakdown or the iteration cap returns the iterate reached, which the
     Newton step's backtracking then judges."""
     x = np.zeros_like(b)
     r, shadow = b.copy(), b
-    stop = KRYLOV_RTOL * np.sqrt(_dot(b, b))
+    stop = rtol * np.sqrt(_dot(b, b))
     rho = alpha = omega = 1.0
     p = v = None
     for it in range(1, KRYLOV_MAX_ITER + 1):
@@ -410,8 +426,8 @@ def solve_segregation(
     and 33, amplitudes 1 and 60, eps = 1e-4 to 1e-7): eps = 1e-7 at nx = 9
     and at nx = 17 with amplitude 60, and eps = 1e-6 at nx = 9 with
     amplitude 60, run out of the default 100 iterates; eps = 1e-7 at nx = 33
-    with amplitude 60 stops on ``stall`` after 49 iterates.  The other 20
-    converge, in 8 to 93 iterates.
+    with amplitude 60 stops on ``stall`` after 49 iterates.  The other 19
+    converge, in 8 to 94 iterates.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")
@@ -439,7 +455,7 @@ def solve_segregation(
     precond = _PoissonPreconditioner(n, h, -0.5 * (ell.lam + ell.Lam))
     pads = np.zeros((2, n + 2, n + 2))
 
-    def direction(w, phi):
+    def direction(w, phi, eta):
         v = w[:, 1:-1, 1:-1]
         m, coefs, _ = linearize(w, h, "M_minus", cfg.scheme, ell=ell)
         active = v / tau < inv_eps * v[0] * v[1] - m
@@ -454,11 +470,14 @@ def solve_segregation(
 
         # the active rows d_i / tau = -Phi_i, times tau: held at tau Phi_i = v_i
         phi[active] = v[active]
-        return _newton_direction(jac, phi, precond, active)
+        return _newton_direction(jac, phi, precond, active, eta)
 
     krylov = [] if initial is not None else [_harmonic_start(u, precond, pads, None, h)]
     np.clip(u, 0.0, None, out=u)
-    u, history, tel = _newton(u, residual, direction, cfg, spec, krylov, nonnegative=True)
+    # only the tol floor: Eisenstat-Walker's loose early solves move the
+    # active set, and the coarse ladder's stiff rung took 7 to 9 iterates, not 6
+    u, history, tel = _newton(u, residual, direction, cfg, spec, krylov, nonnegative=True,
+                              adaptive=False)
     tel["overlap_sup"] = float((u[0] * u[1]).max())
     return SolveResult((GridField(spec, u[0]), GridField(spec, u[1])), np.asarray(history),
                        lipschitz_seminorm(GridField(spec, u[0] - u[1])), tel)

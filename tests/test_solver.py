@@ -119,12 +119,12 @@ def _captured_preconditioner(monkeypatch, pre, held):
     the ``held`` mask, captured by standing in for ``_bicgstab``."""
     seen = []
 
-    def capture(jac, psolve, b):
+    def capture(jac, psolve, b, rtol):
         seen.append(psolve)
         return np.zeros_like(b), 0
 
     monkeypatch.setattr(solver, "_bicgstab", capture)
-    _newton_direction(None, np.zeros(held.shape), pre, held)
+    _newton_direction(None, np.zeros(held.shape), pre, held, solver.KRYLOV_RTOL)
     return seen[0]
 
 
@@ -258,7 +258,8 @@ def test_cold_start_is_the_harmonic_extension(fixture):
 @pytest.mark.parametrize("angle,amplitude", [(21.5, 0.0018), (23.5, 0.0022)])
 def test_cold_starts_take_few_newton_iterates(angle, amplitude):
     # the cold solves of the benchmark's scalar workload, from the harmonic
-    # start: 4 iterates each (8 and 6 from the ring-mean fill)
+    # start: 5 iterates each (4 with every Krylov solve at KRYLOV_RTOL, 8 and
+    # 6 from the ring-mean fill)
     datum = make_fixture(GridSpec(65), "sign_change", angle=angle, amplitude=amplitude)
     res = solve_dirichlet(datum, "G_eps", SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), pair=PAIR)
     assert res.telemetry["stop_reason"] == "tol" and res.iterations <= 5
@@ -281,7 +282,7 @@ def test_warm_restart_is_immediate():
 
 
 def test_budget_exhaustion_returns_best_iterate():
-    # Newton reaches 1e-12 here in 8 iterates; a budget of 2 runs out first
+    # Newton reaches 1e-12 here in 5 iterates; a budget of 2 runs out first
     g = GridSpec(33)
     datum = make_fixture(g, "sign_change")
     res = solve_dirichlet(datum, "G_eps", SolveConfig(tol=1e-12, max_iter=2, eps=0.05),
@@ -544,22 +545,30 @@ def test_segregation_stall_is_reported():
     _complementarity(res, f1, f2, 1e-3)
 
 
+def _krylov_solves(monkeypatch):
+    """The (relative tolerance, iteration count) of every BiCGSTAB solve,
+    in order, recorded by a spy standing in for ``_bicgstab``."""
+    solves = []
+    bicgstab = solver._bicgstab
+
+    def spy(jac, psolve, b, rtol):
+        x, k = bicgstab(jac, psolve, b, rtol)
+        solves.append((rtol, k))
+        return x, k
+
+    monkeypatch.setattr(solver, "_bicgstab", spy)
+    return solves
+
+
 def test_segregation_counts_capped_krylov_solves(monkeypatch):
     # every BiCGSTAB solve is counted, the cold start's harmonic extension
     # included, and each Newton step whose solve ends at the cap; a cap of
     # 10 makes most do so
     monkeypatch.setattr(solver, "KRYLOV_MAX_ITER", 10)
-    counts = []
-    bicgstab = solver._bicgstab
-
-    def spy(jac, psolve, b):
-        x, k = bicgstab(jac, psolve, b)
-        counts.append(k)
-        return x, k
-
-    monkeypatch.setattr(solver, "_bicgstab", spy)
+    solves = _krylov_solves(monkeypatch)
     f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
     res = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=1e-3), ell=SEG_ELL)
+    counts = [k for _, k in solves]
     assert res.telemetry["krylov_capped"] >= 1
     assert res.telemetry["krylov_capped"] == counts.count(10)
     assert res.telemetry["krylov_iterations"] == sum(counts)
@@ -628,6 +637,67 @@ def test_sweep_warm_start_path_independent():
     assert len(long.gaps) == 2
     assert len(long.entries) == 3
     assert long.limit is long.fields[-1]
+
+
+def test_forcing_term_stays_in_its_band():
+    # eta_k = min(0.5, max(KRYLOV_RTOL, psi_k, 0.5 tol / |F_k|)), psi_k
+    # Eisenstat-Walker choice 2 (0.1, then min(0.1, 0.9 (|F_k| / |F_k-1|)^2))
+    # for a scalar solve and KRYLOV_RTOL for segregation
+    floor, tol = solver.KRYLOV_RTOL, 1e-8
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        history = list(10.0 ** rng.uniform(-12.0, 2.0, size=rng.integers(1, 6)))
+        for adaptive in (True, False):
+            assert floor <= solver._forcing(history, tol, adaptive) <= 0.5
+    assert solver._forcing([1.0], tol, True) == 0.1
+    assert solver._forcing([1.0, 0.5], tol, True) == 0.1
+    assert solver._forcing([1.0, 1e-2], tol, True) == pytest.approx(0.9e-4, rel=1e-12)
+    assert solver._forcing([1.0, 1e-4], 1e-12, True) == floor
+    assert solver._forcing([1.0], tol, False) == floor
+    # the tol floor: the step from |F_k| = 4e-8 need only gain a factor 4
+    assert solver._forcing([1.0, 1e-5, 4e-8], tol, True) == 0.125
+    assert solver._forcing([1e-5, 4e-8], tol, False) == 0.125
+    assert solver._forcing([1e-9], tol, False) == 0.5
+
+
+def test_each_krylov_solve_runs_at_its_forcing_term(monkeypatch):
+    # a cold start's harmonic extension runs at KRYLOV_RTOL, each scalar
+    # Newton step at its Eisenstat-Walker term, each segregation step at
+    # KRYLOV_RTOL or, near tol, at the tol floor
+    floor, tol = solver.KRYLOV_RTOL, 1e-8
+    solves = _krylov_solves(monkeypatch)
+    datum = make_fixture(GridSpec(33), "sign_change")
+    res = solve_dirichlet(datum, "G_eps", SolveConfig(tol=tol, eps=0.05), pair=PAIR)
+    seen = [rtol for rtol, _ in solves]
+    hist = res.residual_history
+    psi = [0.1] + [min(0.1, 0.9 * (b / a) ** 2) for a, b in zip(hist, hist[1:])]
+    assert res.converged and seen[0] == floor
+    assert seen[1:] == [min(0.5, max(floor, p, 0.5 * tol / r)) for p, r in zip(psi, hist[:-1])]
+    assert seen[1] == 0.1
+    solves.clear()
+    f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
+    res = solve_segregation(f1, f2, SolveConfig(tol=tol, cfl=1.0, eps=1e-3), ell=SEG_ELL)
+    seen = [rtol for rtol, _ in solves]
+    hist = res.residual_history
+    assert res.converged and seen[0] == floor
+    assert seen[1:] == [max(floor, 0.5 * tol / r) for r in hist[:-1]]
+    assert seen[1] == floor and seen[-1] > floor
+
+
+def test_forcing_term_saves_krylov_iterations_on_the_warm_sweep(monkeypatch):
+    # control: with every step pinned at KRYLOV_RTOL the benchmark's nx = 65
+    # sweep spends 61 BiCGSTAB iterations, against 26 under the forcing term,
+    # for the same fields
+    datum = make_fixture(GridSpec(65), "sign_change")
+    cfg, ladder = SolveConfig(tol=1e-8, cfl=1.0), (0.2, 0.1, 0.05, 0.025)
+    forced = epsilon_sweep(datum, ladder, cfg, PAIR)
+    monkeypatch.setattr(solver, "_forcing", lambda *args: solver.KRYLOV_RTOL)
+    pinned = epsilon_sweep(datum, ladder, cfg, PAIR)
+    assert forced.all_converged and pinned.all_converged
+    krylov = [sum(e.krylov_iterations for e in s.entries) for s in (forced, pinned)]
+    assert krylov[1] >= 1.5 * krylov[0]
+    for a, b in zip(forced.fields, pinned.fields):
+        assert np.abs(a.values - b.values).max() <= 1e-10
 
 
 def test_sweep_rejects_bad_ladders():
