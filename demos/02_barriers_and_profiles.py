@@ -25,7 +25,7 @@ from pucci_lab import (
     radial_profile,
 )
 
-# The barrier exponent gamma = (Lam (n-1) - lam) / lam steepens with the
+# The planar barrier exponent gamma = (Lam - lam) / lam steepens with the
 # ellipticity ratio; at lam = Lam it collapses to the harmonic power.
 print("barrier exponents in the plane")
 for lam, Lam in ((1.0, 1.0), (1.0, 2.0), (1.0, 3.0), (0.5, 2.0)):

@@ -38,11 +38,9 @@ from .grid import GridField, GridSpec
 from .operators import Ellipticity, MatrixFamily
 
 
-def gamma_exponent(ell: Ellipticity, n: int = 2) -> float:
-    """Exponent making psi M-minus-null: (Lam (n-1) - lam) / lam."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ConfigurationError(f"dimension must be an integer >= 2, got {n!r}")
-    return (ell.Lam * (n - 1) - ell.lam) / ell.lam
+def gamma_exponent(ell: Ellipticity) -> float:
+    """Exponent making psi M-minus-null in the plane: (Lam - lam) / lam."""
+    return (ell.Lam - ell.lam) / ell.lam
 
 
 @dataclass(frozen=True)

@@ -448,7 +448,7 @@ def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
 
             fit = None
             with _or_degenerate(man, rows, "alpha_beta", "alpha_beta"):
-                fit = fit_two_plane(u, x0, tuple(reversed(radii)))
+                fit = fit_two_plane(u, x0, radii)
                 rows.append(("fit_alpha", fit.alpha, ""))
                 rows.append(("fit_beta", fit.beta, ""))
                 rows.append(("fit_residual", fit.residual, ""))

@@ -20,13 +20,15 @@ linear growth of a regular point and the quadratic growth of a nondegenerate
 critical zero (grad u = 0).  k needs no scale, so a small but linear slope
 beside a singular point still reads regular.
 
-"Sup over a ball" quantities come from the bilinear interpolant's maximum
-principle: it is harmonic in each cell and linear on each cell edge, so its
-max and min over a closed ball lie at a node in the ball or on the circle,
-which is sampled at its grid-line crossings (the interpolant's kinks along
-it) and at uniform angles at most h apart.  Cone monotonicity translates
-its whole node window at once: one constant shift is one bilinear
-combination of four shifted slices.
+"Sup over a ball" quantities of :func:`ball_sup` and the regularity
+records come from the bilinear interpolant's maximum principle: it is
+harmonic in each cell and linear on each cell edge, so its max and min over
+a closed ball lie at a node in the ball or on the circle, which is sampled
+at its grid-line crossings (the interpolant's kinks along it) and at
+uniform angles at most h apart.  Cone monotonicity still samples each translated ball, at 65
+polar points (the center and 16 angles on 4 circles), so it can miss the
+interpolant's max there; it translates its whole node window at once: one
+constant shift is one bilinear combination of four shifted slices.
 """
 
 from __future__ import annotations
@@ -122,68 +124,51 @@ def extract_zero_set(u: GridField) -> FreeBoundaryCurve:
     h = spec.h
     ox, oy = spec.origin
     pos = v > 0.0
-    nx = spec.nx
 
-    verts: list[tuple[float, float]] = []
-    fallback: list[tuple[float, float]] = []
-    # crossing-vertex index per edge, -1 where the edge keeps one sign
-    xing_x = -np.ones((nx - 1, nx), dtype=int)
-    xing_y = -np.ones((nx, nx - 1), dtype=int)
+    # crossings on the x-edges (i, j)-(i+1, j), then on the y-edges
+    # (i, j)-(i, j+1); the fallback normal runs along the edge into {u > 0}
+    cross_x, cross_y = pos[:-1, :] != pos[1:, :], pos[:, :-1] != pos[:, 1:]
+    ix, jx = np.nonzero(cross_x)
+    iy, jy = np.nonzero(cross_y)
+    tx = v[ix, jx] / (v[ix, jx] - v[ix + 1, jx])
+    ty = v[iy, jy] / (v[iy, jy] - v[iy, jy + 1])
+    pts = np.concatenate([np.stack([ox + (ix + tx) * h, oy + jx * h], axis=1),
+                          np.stack([ox + iy * h, oy + (jy + ty) * h], axis=1)])
+    fallback = np.zeros_like(pts)
+    fallback[:ix.size, 0] = 1.0 - 2.0 * pos[ix, jx]
+    fallback[ix.size:, 1] = 1.0 - 2.0 * pos[iy, jy]
 
-    for i, j in zip(*np.nonzero(pos[:-1, :] != pos[1:, :])):
-        v1, v2 = v[i, j], v[i + 1, j]
-        t = v1 / (v1 - v2)
-        xing_x[i, j] = len(verts)
-        verts.append((ox + (i + t) * h, oy + j * h))
-        fallback.append((-1.0, 0.0) if pos[i, j] else (1.0, 0.0))
-    for i, j in zip(*np.nonzero(pos[:, :-1] != pos[:, 1:])):
-        v1, v2 = v[i, j], v[i, j + 1]
-        t = v1 / (v1 - v2)
-        xing_y[i, j] = len(verts)
-        verts.append((ox + i * h, oy + (j + t) * h))
-        fallback.append((0.0, -1.0) if pos[i, j] else (0.0, 1.0))
+    # vertex index per edge, -1 where the edge keeps one sign; each crossed
+    # cell's edges in the order (bottom, top, left, right)
+    xing_x = np.full(cross_x.shape, -1)
+    xing_x[ix, jx] = np.arange(ix.size)
+    xing_y = np.full(cross_y.shape, -1)
+    xing_y[iy, jy] = ix.size + np.arange(iy.size)
+    ci, cj = np.nonzero(cross_x[:, :-1] | cross_x[:, 1:] | cross_y[:-1, :] | cross_y[1:, :])
+    edges = np.stack([xing_x[ci, cj], xing_x[ci, cj + 1], xing_y[ci, cj], xing_y[ci + 1, cj]],
+                     axis=1)
+    # a cell crosses 2 or 4 edges; with 2 its segment joins the first two
+    order = np.argsort(edges < 0, axis=1, kind="stable")
+    saddle = (edges >= 0).all(axis=1)
+    # at a saddle, where the corner-(i,j) phase runs through the cell center
+    # the contour cuts off the two opposite corners: (bottom, right), (left, top);
+    # otherwise (bottom, left), (right, top)
+    center = 0.25 * (v[ci, cj] + v[ci + 1, cj] + v[ci, cj + 1] + v[ci + 1, cj + 1])
+    cut = ((center > 0.0) == pos[ci, cj])[saddle, None]
+    order[saddle] = np.where(cut, [0, 3, 2, 1], [0, 2, 3, 1])
+    ends = np.take_along_axis(edges, order, axis=1).reshape(-1, 2, 2)
+    segments = ends[np.stack([np.ones_like(saddle), saddle], axis=1)]
 
-    segments: list[tuple[int, int]] = []
-    cell_has = (xing_x[:, :-1] >= 0) | (xing_x[:, 1:] >= 0) \
-        | (xing_y[:-1, :] >= 0) | (xing_y[1:, :] >= 0)
-    for i, j in zip(*np.nonzero(cell_has)):
-        bottom, top = xing_x[i, j], xing_x[i, j + 1]
-        left, right = xing_y[i, j], xing_y[i + 1, j]
-        crossed = [e for e in (bottom, top, left, right) if e >= 0]
-        if len(crossed) == 2:
-            segments.append((crossed[0], crossed[1]))
-        elif len(crossed) == 4:
-            center = 0.25 * (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1])
-            if (center > 0.0) == pos[i, j]:
-                # the corner-(i,j) phase runs through the cell center; the
-                # contour cuts off the two opposite corners
-                segments.append((bottom, right))
-                segments.append((left, top))
-            else:
-                segments.append((bottom, left))
-                segments.append((right, top))
-
-    if not verts:
-        empty = np.empty((0, 2))
-        return FreeBoundaryCurve(empty, empty.copy(), ())
-
-    pts = np.asarray(verts)
     # the interface is a subset of the open domain; crossings sitting exactly
     # on the boundary ring belong to the datum, not to the curve
     lo = np.asarray(spec.origin)
     hi = lo + spec.extent
     edge_tol = 1e-12 * spec.extent
     interior = np.all((pts > lo + edge_tol) & (pts < hi - edge_tol), axis=1)
-    if not np.all(interior):
-        remap = -np.ones(len(pts), dtype=int)
-        remap[interior] = np.arange(int(interior.sum()))
-        pts = pts[interior]
-        fallback = [f for f, keep in zip(fallback, interior) if keep]
-        segments = [(int(remap[a]), int(remap[b])) for a, b in segments
-                    if interior[a] and interior[b]]
-        if pts.shape[0] == 0:
-            empty = np.empty((0, 2))
-            return FreeBoundaryCurve(empty, empty.copy(), ())
+    segments = (np.cumsum(interior) - 1)[segments[interior[segments].all(axis=1)]]
+    pts, fallback = pts[interior], fallback[interior]
+    if pts.shape[0] == 0:
+        return FreeBoundaryCurve(pts, pts.copy(), ())
 
     # sample the gradient one cell in from the walls, so that only central
     # differences enter: the one-sided ring formula straddles a nearby kink
@@ -193,20 +178,14 @@ def extract_zero_set(u: GridField) -> FreeBoundaryCurve:
     gy = bilinear_sample(GridField(spec, grad.gy), sx, sy)
     norm = np.hypot(gx, gy)
     flat = norm < 1e-14
-    fb = np.asarray(fallback)
-    normals = np.where(
-        flat[:, None], fb,
-        np.stack([gx, gy], axis=1) / np.where(flat, 1.0, norm)[:, None],
-    )
-    return FreeBoundaryCurve(pts, normals, tuple(segments))
+    normals = np.where(flat[:, None], fallback,
+                       np.stack([gx, gy], axis=1) / np.where(flat, 1.0, norm)[:, None])
+    return FreeBoundaryCurve(pts, normals, tuple(map(tuple, segments.tolist())))
 
 
 def _sup_dist_to_curve(pts: np.ndarray, curve: FreeBoundaryCurve) -> float:
     """Max over pts of the distance to the nearest point of the polyline
     (segments, not just vertices, so curve endpoints are not overcounted)."""
-    if not curve.segments:
-        d2 = ((pts[:, None, :] - curve.vertices[None, :, :]) ** 2).sum(-1)
-        return float(np.sqrt(d2.min(1).max()))
     seg = np.asarray(curve.segments)
     p = curve.vertices[seg[:, 0]]
     d = curve.vertices[seg[:, 1]] - p
@@ -246,9 +225,10 @@ def boundary_consistency(u: GridField) -> float:
     return max(_sup_dist_to_curve(far_plus, minus), _sup_dist_to_curve(far_minus, plus))
 
 
-def _polar_offsets(rad: float, n_dir: int, n_rad: int):
-    ang = np.linspace(0.0, 2.0 * math.pi, n_dir, endpoint=False)
-    fracs = (np.arange(n_rad) + 1.0) / n_rad
+def _polar_offsets(rad: float):
+    """The center and 16 angles on each of 4 evenly spaced circles out to rad."""
+    ang = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    fracs = (np.arange(4) + 1.0) / 4
     off = (rad * fracs[:, None, None]
            * np.stack([np.cos(ang), np.sin(ang)], axis=0)[None, :, :])
     flat = off.transpose(0, 2, 1).reshape(-1, 2)
@@ -356,24 +336,21 @@ def _fit_at_angle(xi, eta, ur, phi):
 
 
 def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
-    """Least-squares two-plane asymptote over a shrinking blow-up schedule.
+    """Least-squares two-plane asymptote over a blow-up schedule.
 
-    ``radii`` is decreasing; the returned fit is the one at the smallest
-    radius.  Each radius is fitted on its own, in closed form: a plane
-    through the origin is fitted to each phase of the blow-up annulus, p to
-    {u_r > 0} and q to {u_r < 0}.  On alpha <x,nu>+ - beta <x,nu>- these are
-    alpha nu and beta nu, so nu is the direction of p + q (angle 0 when the
-    sum vanishes); the slopes then come from the separable normal equations
+    ``radii`` is a schedule as :func:`grid.require_radii` reads it, in any
+    order; the returned fit is the one at the smallest radius.  Each radius
+    is fitted on its own, in closed form: a plane through the origin is
+    fitted to each phase of the blow-up annulus, p to {u_r > 0} and q to
+    {u_r < 0}.  On alpha <x,nu>+ - beta <x,nu>- these are alpha nu and
+    beta nu, so nu is the direction of p + q (angle 0 when the sum
+    vanishes); the slopes then come from the separable normal equations
     at nu.
     """
-    radii = tuple(float(r) for r in radii)
-    if len(radii) == 0 or any(r <= 0.0 for r in radii):
-        raise InputError("radii must be positive")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise InputError("radii must be strictly decreasing")
-    if radii[-1] < 8.0 * u.spec.h - 1e-12:
+    radii = require_radii(np.sort(radii))
+    if radii[0] < 8.0 * u.spec.h - 1e-12:
         raise InputError(
-            f"smallest fit radius {radii[-1]:g} is under 8h = {8 * u.spec.h:g}"
+            f"smallest fit radius {radii[0]:g} is under 8h = {8 * u.spec.h:g}"
         )
 
     XI, ETA = _BLOWUP_SPEC.node_coords()
@@ -387,7 +364,7 @@ def fit_two_plane(u: GridField, x0, radii) -> SlopeFit:
         alpha, beta, resid = _fit_at_angle(xi, eta, ur, phi)
         fits.append((phi, alpha, beta, float(np.max(np.abs(resid)))))
 
-    phi, alpha, beta, residual = fits[-1]
+    phi, alpha, beta, residual = fits[0]
     return SlopeFit(
         x0=(float(x0[0]), float(x0[1])),
         nu=(math.cos(phi), math.sin(phi)),
@@ -468,7 +445,7 @@ def epsilon_monotonicity(u: GridField, cone: ConeSpec, window) -> float:
     ex, ey = cone.axis
     best = math.inf
     for eps in ladder:
-        off = _polar_offsets(eps * sin_t, 16, 4)
+        off = _polar_offsets(eps * sin_t)
         sup = np.full(base.shape, -math.inf)
         for dx, dy in off:
             np.maximum(sup, bilinear_shift(u, rows, cols, dx - eps * ex, dy - eps * ey), out=sup)

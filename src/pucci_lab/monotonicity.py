@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 from .grid import GridField, GridSpec, derived, require_radii
 
 VERDICTS = ("PASS", "FAIL", "DEGENERATE")
@@ -195,16 +195,18 @@ def _phase_energies(u: GridField):
     return e1, e2
 
 
-def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
+# the relative drop of J_r that one step of the schedule may show and PASS
+_SLACK = 0.02
+
+
+def j_series_check(u: GridField, x0, radii):
     """J_r series of the positive/negative parts plus the monotonicity verdict.
 
-    PASS means j(r_{k+1}) >= (1 - eta) j(r_k) along the schedule; DEGENERATE
-    means the product vanished at every radius (no genuine two phases), and
-    no monotonicity judgment is made.
+    PASS means j(r_{k+1}) >= (1 - _SLACK) j(r_k) along the schedule, with
+    _SLACK = 0.02; DEGENERATE means the product vanished at every radius (no
+    genuine two phases), and no monotonicity judgment is made.
     """
     radii = require_radii(radii)
-    if not (0.0 <= eta < 1.0):
-        raise ConfigurationError(f"slack eta must be in [0, 1), got {eta!r}")
     u.spec.require_ball(x0, float(radii[-1]))
 
     h = u.spec.h
@@ -223,7 +225,7 @@ def j_series_check(u: GridField, x0, radii, eta: float = 0.02):
         return series, SeriesVerdict("DEGENERATE", math.nan, math.nan)
     drops = (j[:-1] - j[1:]) / np.where(j[:-1] == 0.0, 1.0, j[:-1])
     worst = float(max(0.0, drops.max()))
-    verdict = "PASS" if worst <= eta else "FAIL"
+    verdict = "PASS" if worst <= _SLACK else "FAIL"
     defect = float(np.max(np.abs(j - j[0])) / j[0]) if j[0] > 0.0 else math.inf
     return series, SeriesVerdict(verdict, defect, worst)
 

@@ -531,7 +531,6 @@ def epsilon_sweep(
     eps_list,
     cfg: SolveConfig,
     pair: OperatorPair,
-    initial: GridField | None = None,
 ) -> SweepReport:
     """Solve G_eps for each eps in a strictly decreasing list, warm-starting
     each member from the previous solution.
@@ -541,7 +540,7 @@ def epsilon_sweep(
     """
     report = SweepReport([], [], [])
     for e in eps_ladder(eps_list):
-        warm = report.limit if report.fields else initial
+        warm = report.limit if report.fields else None
         res = solve_dirichlet(boundary, "G_eps", cfg.with_eps(e), pair=pair, initial=warm)
         report.entries.append(
             SweepEntry(e, res.iterations, res.final_residual, res.lipschitz_seminorm, res.converged,

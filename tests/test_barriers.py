@@ -38,12 +38,7 @@ ELL = Ellipticity(1.0, 2.0)
 
 def test_gamma_exponent_values():
     assert gamma_exponent(ELL) == pytest.approx(1.0)
-    assert gamma_exponent(Ellipticity(0.5, 1.5), n=3) == pytest.approx(5.0)
     assert gamma_exponent(Ellipticity(1.0, 1.0)) == pytest.approx(0.0)
-    with pytest.raises(ConfigurationError):
-        gamma_exponent(ELL, n=1)
-    with pytest.raises(ConfigurationError):
-        gamma_exponent(ELL, n=2.5)
 
 
 def test_barrier_spec_validation():

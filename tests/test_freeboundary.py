@@ -111,6 +111,79 @@ def test_extract_saddle_cell_splits_into_two_branches(tmp_path):
         assert len(seg_ids) == 2
 
 
+def loop_zero_set(u):
+    """Marching squares one crossing and one cell at a time: the reference
+    for the vertices and segments of :func:`extract_zero_set`."""
+    v, h, (ox, oy) = u.values, u.spec.h, u.spec.origin
+    pos = v > 0.0
+    nx = v.shape[0]
+    verts, at = [], {}
+    for i, j in zip(*np.nonzero(pos[:-1, :] != pos[1:, :])):
+        at["x", i, j] = len(verts)
+        verts.append((ox + (i + v[i, j] / (v[i, j] - v[i + 1, j])) * h, oy + j * h))
+    for i, j in zip(*np.nonzero(pos[:, :-1] != pos[:, 1:])):
+        at["y", i, j] = len(verts)
+        verts.append((ox + i * h, oy + (j + v[i, j] / (v[i, j] - v[i, j + 1])) * h))
+    segments = []
+    for i in range(nx - 1):
+        for j in range(nx - 1):
+            b, t, l, r = (at.get(k, -1) for k in
+                          (("x", i, j), ("x", i, j + 1), ("y", i, j), ("y", i + 1, j)))
+            crossed = [e for e in (b, t, l, r) if e >= 0]
+            if len(crossed) == 2:
+                segments.append(tuple(crossed))
+            elif len(crossed) == 4:
+                center = 0.25 * (v[i, j] + v[i + 1, j] + v[i, j + 1] + v[i + 1, j + 1])
+                cut = (center > 0.0) == pos[i, j]
+                segments += [(b, r), (l, t)] if cut else [(b, l), (r, t)]
+    pts = np.asarray(verts).reshape(-1, 2)
+    lo, hi = np.asarray(u.spec.origin), np.asarray(u.spec.origin) + u.spec.extent
+    tol = 1e-12 * u.spec.extent
+    keep = np.all((pts > lo + tol) & (pts < hi - tol), axis=1)
+    new = np.cumsum(keep) - 1
+    return pts[keep], tuple((int(new[a]), int(new[b])) for a, b in segments
+                            if keep[a] and keep[b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(5, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_extract_topology_on_rough_fields(nx, seed):
+    # normal noise with about a fifth of the nodes exactly 0, so crossings
+    # land on nodes and saddle cells are common
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((nx, nx))
+    vals[rng.random((nx, nx)) < 0.2] = 0.0
+    g = GridSpec(nx)
+    curve = extract_zero_set(GridField(g, vals))
+    pts = curve.vertices
+    ref_pts, ref_segments = loop_zero_set(GridField(g, vals))
+    assert np.array_equal(pts, ref_pts) and curve.segments == ref_segments
+    # every vertex lies on a grid line
+    off = np.abs(pts / g.h - np.round(pts / g.h)) * g.h
+    assert np.all(off.min(axis=1) <= 1e-12)
+    if not curve.segments:
+        return
+    seg = np.asarray(curve.segments)
+    # a segment crosses one cell
+    assert np.all(np.abs(pts[seg[:, 0]] - pts[seg[:, 1]]).max(axis=1) <= g.h + 1e-12)
+    # the curve has no branch points, and it ends only next to a wall
+    degree = np.bincount(seg.ravel(), minlength=len(pts))
+    assert degree.max() <= 2
+    wall = np.minimum(pts, 1.0 - pts).min(axis=1)
+    assert np.all(wall[degree < 2] <= g.h + 1e-12)
+
+
+def test_extract_flat_gradient_normal_runs_along_the_edge():
+    # columns of alternating sign: the sampled gradient vanishes at every
+    # crossing, so each normal points along its x-edge to the positive node
+    g = GridSpec(9)
+    col = np.where(np.arange(9) % 2 == 0, 1.0, -1.0)
+    curve = extract_zero_set(GridField(g, np.repeat(col[:, None], 9, axis=1)))
+    assert curve.vertices.shape == (8 * 7, 2)
+    i = np.floor(curve.vertices[:, 0] / g.h).astype(int)
+    assert np.array_equal(curve.normals, np.stack([-col[i], np.zeros(len(i))], axis=1))
+
+
 @settings(max_examples=15, deadline=None)
 @given(angle=st.floats(0.0, 180.0, allow_nan=False))
 @example(angle=131.25)  # puts a vertex within h of the ring, next to the kink
@@ -406,7 +479,7 @@ def test_fit_two_plane_quadratic_perturbation():
     u = GridField(g, base.values + 0.1 * ((xx - 0.5) ** 2 + (yy - 0.5) ** 2))
     errs = []
     for r in (0.2, 0.1, 0.05):
-        fit = fit_two_plane(u, (0.5, 0.5), (r,))
+        fit = fit_two_plane(u, (0.5, 0.5), (r, 1.2 * r))
         err = max(abs(fit.alpha - 1.0), abs(fit.beta - 2.0))
         # o(|x|)/r term of size 0.1 r, with a small annulus-geometry factor
         assert err <= 0.11 * r + 1e-3
@@ -461,10 +534,14 @@ def test_fit_two_plane_no_asymptote_flag():
 def test_fit_two_plane_radii_validation():
     g = GridSpec(257)
     u = make_fixture(g, "two_plane", alpha=1.0, beta=2.0, angle=30.0)
+    # the schedule rule of the other diagnostics, in any order
+    assert fit_two_plane(u, (0.5, 0.5), (0.05, 0.1)) == fit_two_plane(u, (0.5, 0.5), (0.1, 0.05))
     with pytest.raises(InputError):
         fit_two_plane(u, (0.5, 0.5), ())
     with pytest.raises(InputError):
-        fit_two_plane(u, (0.5, 0.5), (0.05, 0.1))
+        fit_two_plane(u, (0.5, 0.5), (0.1,))
+    with pytest.raises(InputError):
+        fit_two_plane(u, (0.5, 0.5), (0.1, 0.1))
     with pytest.raises(InputError):
         fit_two_plane(u, (0.5, 0.5), (0.2, 0.01))
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pucci_lab import (
-    ConfigurationError,
     DomainError,
     GridField,
     GridSpec,
@@ -226,8 +225,6 @@ def test_series_input_validation():
         j_series_check(u, (0.5, 0.5), (0.2, 0.1))
     with pytest.raises(InputError):
         j_series_check(u, (0.5, 0.5), (-0.1, 0.2))
-    with pytest.raises(ConfigurationError):
-        j_series_check(u, (0.5, 0.5), SCHEDULE, eta=1.0)
     with pytest.raises(DomainError):
         j_series_check(u, (0.9, 0.5), SCHEDULE)
 
