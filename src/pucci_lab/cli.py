@@ -12,17 +12,20 @@ comments, dotted keys), dispatched by the ``command`` key:
 Each value is checked as it is parsed.  A key whose rule the library states
 (the grid, ellipticity, scheme, solver, eps-ladder, cone and radii keys) is
 checked by the library object it configures or by the library's radii rule,
-so a bad value's message is the library's own; the other keys carry the
-CLI's own rules.  A ``fixture.*`` key is checked by building the configured
-fixture with its value, and a key that fixture does not read is unchecked.
-A parse error names the offending key and, where the config sets it, its
-line.
+so a bad value's message is the library's own; a default the library states
+is read from it.  The operator pair is built at parse time, so a Frobenius
+family outside its band is a parse error.  A ``fixture.<p>`` key sets the
+parameter ``p`` of the configured fixture's builder, takes the builder's
+default when unset, and is checked by building the fixture with its value; a
+key that fixture does not read is unchecked.  A parse error names the
+offending key and, where the config sets it, its line.
 
 Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
-written atomically) echoing the full config with defaults, a hash of that
-echo, per-stage timings, telemetry, and a verdict table.  The process exit
-code is 0 when every verdict is PASS, 1 when any verdict is not, and 2 on
-configuration or runtime errors.
+written atomically) echoing the full config with defaults (the fixture
+defaults of the configured fixture alone), a hash of that echo, per-stage
+timings, telemetry, and a verdict table.  The process exit code is 0 when
+every verdict is PASS, 1 when any verdict is not, and 2 on configuration or
+runtime errors.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .freeboundary import (
 )
 from .monotonicity import j_series_check, series_to_csv
 from .operators import (
+    FAMILY_KINDS,
     OP_SELECTORS,
     Ellipticity,
     MatrixFamily,
@@ -81,7 +85,7 @@ from .solver import (
 )
 
 COMMANDS = ("solve", "segregate", "sweep", "diagnose", "verify")
-_CLI_FAMILIES = ("full_pucci", "identity_only", "frobenius_ball")
+_CLI_FAMILIES = tuple(k for k in FAMILY_KINDS if k != "finite_set")
 
 
 def _p_float(s: str) -> float:
@@ -118,46 +122,47 @@ def _one_of(names, note: str = ""):
 _family = _one_of(_CLI_FAMILIES,
                   " (finite sets need explicit members and are not line-configurable)")
 
-# key -> (value parser, check, default); None default means "unset".  A check
-# raises ValueError on a bad parsed value.  Where the library states the rule,
-# the check builds the object the key configures or applies that rule, so the
-# rule is written once and the message is the library's own.  The fixture.*
-# keys are checked by _check_config, which knows the configured fixture.
+# key -> (value parser, check, default), a None default leaving the key unset.
+# A check raises ValueError on a bad value; where the library states the rule
+# it builds the object the key configures or applies that rule, so the message
+# is the library's own, and a default the library states is read from it.
 _KEYS: dict = {
     "command": (str, _one_of(COMMANDS), None),
     "grid.nx": (int, GridSpec, 65),
-    "grid.extent": (_p_float, lambda v: GridSpec(5, v), 1.0),
-    "grid.origin": (_p_pair, None, (0.0, 0.0)),
+    "grid.extent": (_p_float, lambda v: GridSpec(5, v), GridSpec.extent),
+    "grid.origin": (_p_pair, None, GridSpec.origin),
     "op": (str, _one_of(OP_SELECTORS), "G_eps"),
     "family.minus": (str, _family, "full_pucci"),
     "family.plus": (str, _family, "full_pucci"),
     "family.r0": (_p_float, lambda v: _require(0.0 < v < 1.0, "must lie in (0, 1)", v), 0.5),
     "ell.lambda": (_p_float, lambda v: Ellipticity(v, 1.0), 1.0),
     "ell.Lambda": (_p_float, lambda v: Ellipticity(1.0, v), 2.0),
-    "scheme": (str, lambda v: SchemeSpec(v, 4), "central"),
+    "scheme": (str, lambda v: SchemeSpec(v, 4), SchemeSpec.kind),
     "scheme.K": (int, lambda v: SchemeSpec("wide", v), 4),
-    "tol": (_p_float, lambda v: SolveConfig(tol=v), 1e-8),
-    "max_iter": (int, lambda v: SolveConfig(max_iter=v), 100),
-    "cfl": (_p_float, lambda v: SolveConfig(cfl=v), 0.8),
+    "tol": (_p_float, lambda v: SolveConfig(tol=v), SolveConfig.tol),
+    "max_iter": (int, lambda v: SolveConfig(max_iter=v), SolveConfig.max_iter),
+    "cfl": (_p_float, lambda v: SolveConfig(cfl=v), SolveConfig.cfl),
     "eps": (_p_float, lambda v: SolveConfig(eps=v), 0.05),
     "eps_list": (_p_floats, eps_ladder, (0.2, 0.1, 0.05, 0.025)),
     "fixture": (str, _one_of(FIXTURES), "sign_change"),
-    "fixture.alpha": (_p_float, None, 1.0),
-    "fixture.beta": (_p_float, None, 2.0),
-    "fixture.angle": (_p_float, None, 22.5),
-    "fixture.amplitude": (_p_float, None, 0.002),
-    "fixture.dead_band": (_p_float, None, 0.1),
-    "fixture.c": (_p_float, None, 1.0),
-    "fixture.r": (_p_float, None, 0.4),
-    "fixture.gamma": (_p_float, None, 1.0),
     "field": (str, None, None),
     "radii": (_p_floats, require_radii, None),  # None: _default_radii of the field's grid
     "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0.0, v), 60.0),
     "cone.angle": (_p_float, None, None),
-    "rel_tol": (_p_float, lambda v: _require(v >= 0.0, "must be >= 0", v), 0.05),
+    "rel_tol": (_p_float, lambda v: _require(v >= 0.0, "must be >= 0", v),
+                inspect.signature(check_alpha_beta).parameters["rel_tol"].default),
     "x0": (_p_pair, None, None),
     "out": (str, None, "pucci_run"),
 }
+_SUPPLIED = ("center", "lam", "Lam")  # builder parameters set from grid.* and ell.*
+
+
+def _fixture_params(name: str) -> dict:
+    """The fixture's ``fixture.<p>`` keys, each a real: every keyword parameter
+    ``p`` of its builder that the CLI does not supply, with its default."""
+    params = inspect.signature(FIXTURE_BUILDERS[name]).parameters.items()
+    return {p: par.default for p, par in params
+            if par.default is not par.empty and p not in _SUPPLIED}
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,8 @@ def _fail(msg: str, line: int | None = None, key: str | None = None):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a line-oriented config document."""
-    table = {k: d for k, (_, _, d) in _KEYS.items()}
+    cfg = RunConfig({k: d for k, (_, _, d) in _KEYS.items()})
+    fixture_keys = {f"fixture.{p}" for name in FIXTURES for p in _fixture_params(name)}
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -192,46 +198,51 @@ def parse_config(text: str) -> RunConfig:
             _fail(f"expected 'key = value', got {body!r}", lineno)
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEYS:
+        if key not in _KEYS and key not in fixture_keys:
             _fail(f"unknown key {key!r}", lineno, key)
         if key in seen:
             _fail(f"duplicate key {key!r} (first set on line {seen[key]})", lineno, key)
         seen[key] = lineno
-        parser, check, _ = _KEYS[key]
+        parser, check, _ = _KEYS.get(key, (_p_float, None, None))
         try:
-            table[key] = parser(value)
+            cfg.table[key] = parser(value)
             if check is not None:
-                check(table[key])
+                check(cfg[key])
         except ValueError as exc:
             _fail(f"bad value for {key}: {exc}", lineno, key)
-    _check_config(table, seen)
-    return RunConfig(table)
+    _check_config(cfg, seen)
+    return cfg
 
 
-def _check_config(table: dict, seen: dict):
-    if table["command"] is None:
+def _check_config(cfg: RunConfig, seen: dict):
+    if cfg["command"] is None:
         _fail("config must set 'command'", key="command")
-    # each fixture.* key the configured fixture reads is checked by building
-    # that fixture with the one value, so the rule is the builder's own
-    for p in inspect.signature(FIXTURE_BUILDERS[table["fixture"]]).parameters:
+    # a fixture.* key the configured fixture reads defaults to its builder's and
+    # is checked by building it with the one value, so the rule is the builder's
+    for p, default in _fixture_params(cfg["fixture"]).items():
         key = f"fixture.{p}"
-        if key in table:
-            try:
-                make_fixture(GridSpec(5), table["fixture"], **{p: table[key]})
-            except ValueError as exc:
-                _fail(f"bad value for {key}: {exc}", seen.get(key), key)
+        try:
+            make_fixture(GridSpec(5), cfg["fixture"], **{p: cfg.table.setdefault(key, default)})
+        except ValueError as exc:
+            _fail(f"bad value for {key}: {exc}", seen.get(key), key)
+    # each key is in range alone, so the pair can break only a Frobenius
+    # family's band rule, blamed on the line that chose the family
+    try:
+        _operator_pair(cfg)
+    except ValueError as exc:
+        key = "family.minus" if cfg["family.minus"] == "frobenius_ball" else "family.plus"
+        _fail(f"bad value for {key}: {exc}", seen[key], key)
     # a fixture the command cannot run is blamed on its own line, or on the
     # command's when the fixture is the default
     blame = "fixture" if "fixture" in seen else "command"
-    if table["command"] == "segregate" and table["fixture"] not in PAIR_FIXTURES:
+    if cfg["command"] == "segregate" and cfg["fixture"] not in PAIR_FIXTURES:
         _fail(
             f"segregate needs a two-species fixture ({', '.join(PAIR_FIXTURES)}), "
-            f"got {table['fixture']!r}", seen[blame], blame)
-    scalar_needed = table["command"] in ("solve", "sweep") or (
-        table["command"] == "diagnose" and table["field"] is None
-    )
-    if scalar_needed and table["fixture"] in PAIR_FIXTURES:
-        _fail(f"{table['command']} needs a scalar fixture, got {table['fixture']!r}",
+            f"got {cfg['fixture']!r}", seen[blame], blame)
+    scalar_needed = cfg["command"] in ("solve", "sweep") or (
+        cfg["command"] == "diagnose" and cfg["field"] is None)
+    if scalar_needed and cfg["fixture"] in PAIR_FIXTURES:
+        _fail(f"{cfg['command']} needs a scalar fixture, got {cfg['fixture']!r}",
               seen[blame], blame)
 
 
@@ -259,25 +270,18 @@ def _operator_pair(cfg: RunConfig) -> OperatorPair:
 
 def _solve_config(cfg: RunConfig) -> SolveConfig:
     scheme = SchemeSpec(cfg["scheme"], cfg["scheme.K"] if cfg["scheme"] == "wide" else None)
-    return SolveConfig(
-        scheme=scheme,
-        tol=cfg["tol"],
-        max_iter=cfg["max_iter"],
-        cfl=cfg["cfl"],
-        eps=cfg["eps"],
-    )
+    return SolveConfig(scheme=scheme, tol=cfg["tol"], max_iter=cfg["max_iter"], cfl=cfg["cfl"],
+                       eps=cfg["eps"])
 
 
 def _fixture_kwargs(cfg: RunConfig) -> dict:
     """The arguments the fixture's builder reads: ``center`` is the grid's
-    centre, ``lam`` and ``Lam`` come from ell.*, a ``fixture.<p>`` key sets
-    ``p``, and every other parameter keeps the builder's default."""
-    source = {k.removeprefix("fixture."): v for k, v in cfg.table.items()
-              if k.startswith("fixture.")}
-    source.update(center=_grid_center(_grid_spec(cfg)), lam=cfg["ell.lambda"],
-                  Lam=cfg["ell.Lambda"])
+    centre, ``lam`` and ``Lam`` come from ell.*, any other ``p`` from fixture.<p>."""
+    supplied = dict(center=_grid_center(_grid_spec(cfg)), lam=cfg["ell.lambda"],
+                    Lam=cfg["ell.Lambda"])
     params = inspect.signature(FIXTURE_BUILDERS[cfg["fixture"]]).parameters
-    return {p: source[p] for p in params if p in source}
+    return {p: v for p, v in supplied.items() if p in params} | {
+        p: cfg[f"fixture.{p}"] for p in _fixture_params(cfg["fixture"])}
 
 
 def _build_fixture(cfg: RunConfig):
@@ -312,17 +316,14 @@ class _Manifest:
         os.replace(tmp, os.path.join(self.out_dir, "manifest"))
 
 
-class _Timer:
-    def __init__(self, manifest: _Manifest, stage: str):
-        self.m, self.stage = manifest, stage
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.m.data["timings"][self.stage] = round(time.perf_counter() - self.t0, 6)
-        return False
+@contextlib.contextmanager
+def _timed(man: _Manifest, stage: str):
+    """Record the block's wall time as ``stage``, also when it raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        man.data["timings"][stage] = round(time.perf_counter() - t0, 6)
 
 
 def _emit_field(man: _Manifest, name: str, fld: GridField) -> None:
@@ -338,7 +339,7 @@ def _record_solve(man: _Manifest, res) -> None:
 
 def _cmd_solve(cfg: RunConfig, man: _Manifest) -> None:
     datum = _build_fixture(cfg)
-    with _Timer(man, "solve"):
+    with _timed(man, "solve"):
         res = solve_dirichlet(datum, cfg["op"], _solve_config(cfg), pair=_operator_pair(cfg))
     _emit_field(man, "field.csv", res.field)
     residuals_to_csv(res.residual_history, man.emit("residuals.csv"))
@@ -347,7 +348,7 @@ def _cmd_solve(cfg: RunConfig, man: _Manifest) -> None:
 
 def _cmd_segregate(cfg: RunConfig, man: _Manifest) -> None:
     f1, f2 = _build_fixture(cfg)
-    with _Timer(man, "segregate"):
+    with _timed(man, "segregate"):
         res = solve_segregation(f1, f2, _solve_config(cfg), ell=_ellipticity(cfg))
     u1, u2 = res.field
     for name, fld in (("field1.csv", u1), ("field2.csv", u2),
@@ -359,7 +360,7 @@ def _cmd_segregate(cfg: RunConfig, man: _Manifest) -> None:
 
 def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     datum = _build_fixture(cfg)
-    with _Timer(man, "sweep"):
+    with _timed(man, "sweep"):
         report = epsilon_sweep(datum, cfg["eps_list"], _solve_config(cfg), _operator_pair(cfg))
     _emit_field(man, "field.csv", report.limit)
     man.data["telemetry"]["entries"] = [asdict(e) for e in report.entries]
@@ -380,9 +381,8 @@ def _default_radii(spec: GridSpec) -> tuple[float, ...]:
 def _diagnose_field(cfg: RunConfig) -> GridField:
     if cfg["field"] is not None:
         return field_from_csv(cfg["field"])
-    res = solve_dirichlet(_build_fixture(cfg), cfg["op"], _solve_config(cfg),
-                          pair=_operator_pair(cfg))
-    return res.field
+    return solve_dirichlet(_build_fixture(cfg), cfg["op"], _solve_config(cfg),
+                           pair=_operator_pair(cfg)).field
 
 
 @contextlib.contextmanager
@@ -401,13 +401,13 @@ def _or_degenerate(man: _Manifest, rows: list, name: str, metric: str):
 def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
     rows: list[tuple[str, float, str]] = []
     verdicts = man.data["verdicts"]
-    with _Timer(man, "field"):
+    with _timed(man, "field"):
         u = _diagnose_field(cfg)
     spec = u.spec
     if cfg["x0"] is not None and not spec.contains(*cfg["x0"]):
         _fail("x0 = {:g},{:g} lies outside the field's square, origin {:g},{:g} and extent "
               "{:g}".format(*cfg["x0"], *spec.origin, spec.extent), key="x0")
-    with _Timer(man, "diagnostics"):
+    with _timed(man, "diagnostics"):
         curve = extract_zero_set(u)
         curve_to_csv(curve, man.emit("curve.csv"))
 
@@ -570,7 +570,7 @@ def _cmd_verify(cfg: RunConfig, man: _Manifest) -> None:
         ("slope_fit", _verify_slope_fit),
     )
     for name, fn in suites:
-        with _Timer(man, name):
+        with _timed(man, name):
             ok = fn()
         man.data["verdicts"][name] = "PASS" if ok else "FAIL"
 

@@ -165,8 +165,11 @@ def extract_zero_set(u: GridField) -> FreeBoundaryCurve:
     hi = lo + spec.extent
     edge_tol = 1e-12 * spec.extent
     interior = np.all((pts > lo + edge_tol) & (pts < hi - edge_tol), axis=1)
-    segments = (np.cumsum(interior) - 1)[segments[interior[segments].all(axis=1)]]
-    pts, fallback = pts[interior], fallback[interior]
+    segments = segments[interior[segments].all(axis=1)]
+    # and so does a vertex whose partner in each of its cells sits on the ring
+    keep = np.bincount(segments.ravel(), minlength=len(pts)) > 0
+    segments = (np.cumsum(keep) - 1)[segments]
+    pts, fallback = pts[keep], fallback[keep]
     if pts.shape[0] == 0:
         return FreeBoundaryCurve(pts, pts.copy(), ())
 

@@ -245,9 +245,10 @@ def bilinear_sample(fld: GridField, x, y):
     ox, oy = spec.origin
     if not np.all(spec.contains([x.min(initial=ox), x.max(initial=ox)],
                                 [y.min(initial=oy), y.max(initial=oy)])):
-        bad = np.argwhere(~spec.contains(x, y))[0]
+        x, y = np.broadcast_arrays(x, y)
+        bad = np.flatnonzero(~spec.contains(x, y))[0]
         raise DomainError(
-            f"sample point ({x.flat[bad[0]]:g}, {y.flat[bad[0]]:g}) lies outside the grid extent"
+            f"sample point ({x.flat[bad]:g}, {y.flat[bad]:g}) lies outside the grid extent"
         )
     nx = spec.nx
     tx = (x - ox) / spec.h

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -214,6 +215,40 @@ def test_parse_leaves_a_key_the_fixture_does_not_read_unchecked():
     cfg = cli.parse_config("command = solve\nfixture = psi\nfixture.alpha = -1\n")
     assert cfg["fixture.alpha"] == -1.0
     assert "alpha" not in cli._fixture_kwargs(cfg)
+
+
+@pytest.mark.parametrize("name", list(barriers.FIXTURE_BUILDERS))
+def test_unset_fixture_keys_take_the_builders_defaults(name):
+    command = "segregate" if name in barriers.PAIR_FIXTURES else "solve"
+    cfg = cli.parse_config(make_config(command=command, fixture=name,
+                                       **{"grid.origin": "1,2", "ell.Lambda": 3}))
+    params = inspect.signature(barriers.FIXTURE_BUILDERS[name]).parameters
+    want = {p: par.default for p, par in params.items() if par.default is not par.empty}
+    supplied = {"center": (1.5, 2.5), "lam": 1.0, "Lam": 3.0}
+    want.update({p: v for p, v in supplied.items() if p in want})
+    assert cli._fixture_kwargs(cfg) == want
+
+
+def test_default_echo_lists_only_the_configured_fixtures_keys():
+    cfg = cli.parse_config("command = solve\n")
+    fixture_lines = [ln for ln in cfg.echo_lines() if ln.startswith("fixture.")]
+    assert fixture_lines == ["fixture.amplitude = 0.002", "fixture.angle = 22.5"]
+    assert cli.parse_config("\n".join(cfg.echo_lines())).table == cfg.table
+
+
+def test_parse_checks_the_operator_pair(tmp_path):
+    # r0 = 0.5 needs the band to cover [0.5, 1.5]; the default ell (1, 2) does not
+    text = "command = solve\ngrid.nx = 17\nfamily.minus = frobenius_ball\nfamily.r0 = 0.5\n"
+    with pytest.raises(ParseError) as exc:
+        cli.parse_config(text)
+    assert (exc.value.key, exc.value.line) == ("family.minus", 3)
+    assert "needs lam <= 0.5 and Lam >= 1.5" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        cli.parse_config("command = solve\nfamily.plus = frobenius_ball\nfamily.r0 = 0.9\n"
+                         "ell.lambda = 0.5\nell.Lambda = 1.5\n")
+    assert (exc.value.key, exc.value.line) == ("family.plus", 2)
+    cfg = cli.parse_config(text + "ell.lambda = 0.5\nell.Lambda = 1.5\n")
+    assert cli.run(cfg, out_dir=str(tmp_path / "ball"), quiet=True) == 0
 
 
 def test_parse_eps_list_ordering():

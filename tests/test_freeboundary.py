@@ -139,15 +139,19 @@ def loop_zero_set(u):
     pts = np.asarray(verts).reshape(-1, 2)
     lo, hi = np.asarray(u.spec.origin), np.asarray(u.spec.origin) + u.spec.extent
     tol = 1e-12 * u.spec.extent
-    keep = np.all((pts > lo + tol) & (pts < hi - tol), axis=1)
+    interior = np.all((pts > lo + tol) & (pts < hi - tol), axis=1)
+    segments = [(a, b) for a, b in segments if interior[a] and interior[b]]
+    # a vertex left with no segment is dropped too
+    keep = np.zeros(len(pts), dtype=bool)
+    for a, b in segments:
+        keep[a] = keep[b] = True
     new = np.cumsum(keep) - 1
-    return pts[keep], tuple((int(new[a]), int(new[b])) for a, b in segments
-                            if keep[a] and keep[b])
+    return pts[keep], tuple((int(new[a]), int(new[b])) for a, b in segments)
 
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(5, 40), seed=st.integers(0, 2 ** 32 - 1))
-def test_extract_topology_on_rough_fields(nx, seed):
+def test_extract_topology_on_rough_fields(nx, seed, tmp_path_factory):
     # normal noise with about a fifth of the nodes exactly 0, so crossings
     # land on nodes and saddle cells are common
     rng = np.random.default_rng(seed)
@@ -162,8 +166,15 @@ def test_extract_topology_on_rough_fields(nx, seed):
     off = np.abs(pts / g.h - np.round(pts / g.h)) * g.h
     assert np.all(off.min(axis=1) <= 1e-12)
     if not curve.segments:
+        assert curve.is_empty
         return
     seg = np.asarray(curve.segments)
+    # every vertex lies on a segment, so the CSV writes a row for each
+    assert np.array_equal(np.unique(seg), np.arange(len(pts)))
+    path = tmp_path_factory.mktemp("curve") / "curve.csv"
+    curve_to_csv(curve, path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert {tuple(p) for p in pts.tolist()} <= {tuple(r) for r in rows[:, 1:3].tolist()}
     # a segment crosses one cell
     assert np.all(np.abs(pts[seg[:, 0]] - pts[seg[:, 1]]).max(axis=1) <= g.h + 1e-12)
     # the curve has no branch points, and it ends only next to a wall

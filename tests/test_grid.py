@@ -132,6 +132,21 @@ def test_bilinear_sample_scalar_and_outside():
         bilinear_sample(fld, np.array([0.5, -0.1]), np.array([0.5, 0.5]))
 
 
+def test_bilinear_sample_names_the_point_it_rejects():
+    fld = GridField(GridSpec(9), np.ones((9, 9)))
+    x = np.full((3, 4), 0.5)
+    y = np.full((3, 4), 0.5)
+    x[1, 2], y[1, 2] = 1.7, 0.25
+    with pytest.raises(DomainError, match=r"\(1\.7, 0\.25\)"):
+        bilinear_sample(fld, x, y)
+    # a 2-D x with a scalar y is one broadcast sample
+    x[1, 2] = 0.5
+    x[2, 1] = -0.3
+    with pytest.raises(DomainError, match=r"\(-0\.3, 0\.5\)"):
+        bilinear_sample(fld, x, 0.5)
+    assert np.array_equal(bilinear_sample(fld, np.full((3, 4), 0.5), 0.5), np.ones((3, 4)))
+
+
 def _reference_sample(fld, x, y):
     """Bilinear sampling as first written, with elementwise range masks,
     fractions snapped by np.where and clipped by np.clip, and corners read by
@@ -143,9 +158,10 @@ def _reference_sample(fld, x, y):
     x, y = np.atleast_1d(x), np.atleast_1d(y)
     inside = spec.contains(x, y)
     if not np.all(inside):
-        bad = np.argwhere(~inside)[0]
+        bad = np.flatnonzero(~inside)[0]
+        bx, by = np.broadcast_arrays(x, y)
         raise DomainError(
-            f"sample point ({x.flat[bad[0]]:g}, {y.flat[bad[0]]:g}) lies outside the grid extent"
+            f"sample point ({bx.flat[bad]:g}, {by.flat[bad]:g}) lies outside the grid extent"
         )
 
     def snap(f):

@@ -1,11 +1,15 @@
 """Import layering: the interface diagnostics read fields, so they import
 from the package's error and grid modules only, never from the operators or
-the solver; and a field's memo of derived data is grid.py's alone."""
+the solver; a field's memo of derived data is grid.py's alone; and the
+package's ``__all__`` lists exactly what it imports."""
 
 import ast
 import os
+import types
 
 import pytest
+
+import pucci_lab
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "pucci_lab")
 
@@ -40,3 +44,10 @@ def test_field_memo_is_reached_only_through_grid():
     assert _memo_references("grid")
     outside = {m: _memo_references(m) for m in modules if m != "grid"}
     assert not any(outside.values()), outside
+
+
+def test_all_lists_every_public_name_the_package_imports():
+    public = {name for name, value in vars(pucci_lab).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(pucci_lab.__all__)) == len(pucci_lab.__all__)
+    assert set(pucci_lab.__all__) == public | {"__version__"}
