@@ -17,8 +17,8 @@ is read from it.  The operator pair is built at parse time, so a Frobenius
 family outside its band is a parse error.  A ``fixture.<p>`` key sets the
 parameter ``p`` of the configured fixture's builder, takes the builder's
 default when unset, and is checked by building the fixture with its value; a
-key that fixture does not read is unchecked.  A parse error names the
-offending key and, where the config sets it, its line.
+key that fixture does not read is unchecked and left out of the echo.  A
+parse error names the offending key and, where the config sets it, its line.
 
 Every run writes its CSV outputs plus a ``manifest`` file (JSON text,
 written atomically) echoing the full config with defaults (the fixture
@@ -53,17 +53,10 @@ from .barriers import (
 )
 from .errors import ParseError
 from .grid import GridField, GridSpec, field_from_csv, field_to_csv, require_radii
-from .freeboundary import (
-    ConeSpec,
-    boundary_consistency,
-    check_alpha_beta,
-    classify_regular,
-    curve_to_csv,
-    epsilon_monotonicity,
-    extract_zero_set,
-    fit_two_plane,
-    flatness_measure,
-)
+from .freeboundary import ConeSpec, check_alpha_beta, curve_to_csv, fit_two_plane, interface_report
+# unused here, but bench/tracer.py wraps them in this namespace
+from .freeboundary import (boundary_consistency, classify_regular,
+                           epsilon_monotonicity, extract_zero_set, flatness_measure)
 from .monotonicity import j_series_check, series_to_csv
 from .operators import (
     FAMILY_KINDS,
@@ -121,6 +114,7 @@ def _one_of(names, note: str = ""):
 
 _family = _one_of(_CLI_FAMILIES,
                   " (finite sets need explicit members and are not line-configurable)")
+_REPORT = inspect.signature(interface_report).parameters
 
 # key -> (value parser, check, default), a None default leaving the key unset.
 # A check raises ValueError on a bad value; where the library states the rule
@@ -146,11 +140,11 @@ _KEYS: dict = {
     "eps_list": (_p_floats, eps_ladder, (0.2, 0.1, 0.05, 0.025)),
     "fixture": (str, _one_of(FIXTURES), "sign_change"),
     "field": (str, None, None),
-    "radii": (_p_floats, require_radii, None),  # None: _default_radii of the field's grid
-    "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0.0, v), 60.0),
+    "radii": (_p_floats, require_radii, None),  # None: interface_report's default radii
+    "cone.theta": (_p_float, lambda v: ConeSpec.from_degrees(0, v), _REPORT["cone_theta"].default),
     "cone.angle": (_p_float, None, None),
     "rel_tol": (_p_float, lambda v: _require(v >= 0.0, "must be >= 0", v),
-                inspect.signature(check_alpha_beta).parameters["rel_tol"].default),
+                _REPORT["rel_tol"].default),
     "x0": (_p_pair, None, None),
     "out": (str, None, "pucci_run"),
 }
@@ -218,8 +212,12 @@ def _check_config(cfg: RunConfig, seen: dict):
     if cfg["command"] is None:
         _fail("config must set 'command'", key="command")
     # a fixture.* key the configured fixture reads defaults to its builder's and
-    # is checked by building it with the one value, so the rule is the builder's
-    for p, default in _fixture_params(cfg["fixture"]).items():
+    # is checked by building it with the one value, so the rule is the builder's;
+    # a key it does not read configures nothing and is dropped from the echo
+    params = _fixture_params(cfg["fixture"])
+    for key in [k for k in cfg.table if k.startswith("fixture.") and k[8:] not in params]:
+        del cfg.table[key]
+    for p, default in params.items():
         key = f"fixture.{p}"
         try:
             make_fixture(GridSpec(5), cfg["fixture"], **{p: cfg.table.setdefault(key, default)})
@@ -250,10 +248,6 @@ def _grid_spec(cfg: RunConfig) -> GridSpec:
     return GridSpec(cfg["grid.nx"], cfg["grid.extent"], cfg["grid.origin"])
 
 
-def _grid_center(spec: GridSpec) -> tuple[float, float]:
-    return (spec.origin[0] + spec.extent / 2.0, spec.origin[1] + spec.extent / 2.0)
-
-
 def _ellipticity(cfg: RunConfig) -> Ellipticity:
     return Ellipticity(cfg["ell.lambda"], cfg["ell.Lambda"])
 
@@ -277,7 +271,7 @@ def _solve_config(cfg: RunConfig) -> SolveConfig:
 def _fixture_kwargs(cfg: RunConfig) -> dict:
     """The arguments the fixture's builder reads: ``center`` is the grid's
     centre, ``lam`` and ``Lam`` come from ell.*, any other ``p`` from fixture.<p>."""
-    supplied = dict(center=_grid_center(_grid_spec(cfg)), lam=cfg["ell.lambda"],
+    supplied = dict(center=_grid_spec(cfg).center, lam=cfg["ell.lambda"],
                     Lam=cfg["ell.Lambda"])
     params = inspect.signature(FIXTURE_BUILDERS[cfg["fixture"]]).parameters
     return {p: v for p, v in supplied.items() if p in params} | {
@@ -368,117 +362,24 @@ def _cmd_sweep(cfg: RunConfig, man: _Manifest) -> None:
     man.data["verdicts"]["converged"] = "PASS" if report.all_converged else "FAIL"
 
 
-def _default_radii(spec: GridSpec) -> tuple[float, ...]:
-    """Four radii evenly spaced from max(extent / 20, 8h), fit_two_plane's
-    floor, to extent / 5, whose 2r blow-up stays inside the domain."""
-    lo, hi = max(spec.extent / 20.0, 8.0 * spec.h), spec.extent / 5.0
-    if not lo < hi:
-        _fail(f"the field's 8h = {8 * spec.h:g} leaves no default radii below "
-              f"extent / 5 = {hi:g}; set radii", key="radii")
-    return tuple(lo + (hi - lo) * k / 3.0 for k in range(4))
-
-
-def _diagnose_field(cfg: RunConfig) -> GridField:
-    if cfg["field"] is not None:
-        return field_from_csv(cfg["field"])
-    return solve_dirichlet(_build_fixture(cfg), cfg["op"], _solve_config(cfg),
-                           pair=_operator_pair(cfg)).field
-
-
-@contextlib.contextmanager
-def _or_degenerate(man: _Manifest, rows: list, name: str, metric: str):
-    """Run one diagnostic's block; if it raises ValueError, its verdict
-    ``name`` is DEGENERATE, its ``metric`` row NaN, and the telemetry's
-    ``degenerate`` table gives the error as its reason."""
-    try:
-        yield
-    except ValueError as exc:
-        man.data["verdicts"][name] = "DEGENERATE"
-        man.data["telemetry"].setdefault("degenerate", {})[name] = f"{type(exc).__name__}: {exc}"
-        rows.append((metric, math.nan, "DEGENERATE"))
-
-
 def _cmd_diagnose(cfg: RunConfig, man: _Manifest) -> None:
-    rows: list[tuple[str, float, str]] = []
-    verdicts = man.data["verdicts"]
     with _timed(man, "field"):
-        u = _diagnose_field(cfg)
-    spec = u.spec
-    if cfg["x0"] is not None and not spec.contains(*cfg["x0"]):
+        u = field_from_csv(cfg["field"]) if cfg["field"] is not None else solve_dirichlet(
+            _build_fixture(cfg), cfg["op"], _solve_config(cfg), pair=_operator_pair(cfg)).field
+    if cfg["x0"] is not None and not u.spec.contains(*cfg["x0"]):
         _fail("x0 = {:g},{:g} lies outside the field's square, origin {:g},{:g} and extent "
-              "{:g}".format(*cfg["x0"], *spec.origin, spec.extent), key="x0")
+              "{:g}".format(*cfg["x0"], *u.spec.origin, u.spec.extent), key="x0")
     with _timed(man, "diagnostics"):
-        curve = extract_zero_set(u)
-        curve_to_csv(curve, man.emit("curve.csv"))
-
-        bc = boundary_consistency(u)
-        with _or_degenerate(man, rows, "boundary_consistency", "boundary_consistency"):
-            if math.isnan(bc):
-                raise ValueError("boundary_consistency is NaN: a phase is missing or no "
-                                 "level-curve vertex lies 4h from the walls")
-            # the level-pair gap is >= 2h even on exactly coincident phases,
-            # so the bound is one cell above it (acceptance criterion 11's 3h)
-            verdicts["boundary_consistency"] = bc_v = "PASS" if bc <= 3.0 * spec.h else "FAIL"
-            rows.append(("boundary_consistency", bc, bc_v))
-
-        if curve.is_empty:
-            for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone"):
-                with _or_degenerate(man, rows, name, name):
-                    raise ValueError("no zero set")
-        else:
-            x0 = cfg["x0"] if cfg["x0"] is not None else \
-                tuple(curve.vertices[curve.nearest_vertex(_grid_center(spec))])
-            radii = cfg["radii"] or _default_radii(spec)
-            man.data["telemetry"]["radii"] = list(radii)
-
-            with _or_degenerate(man, rows, "regular_point", "growth_exponent"):
-                rec = classify_regular(u, x0, radii)
-                man.data["telemetry"].update(M=rec.M, growth_exponent=rec.growth_exponent,
-                                             c_lower=rec.c_lower, C_upper=rec.C_upper,
-                                             zero_density=rec.zero_density)
-                verdicts["regular_point"] = "PASS" if rec.is_regular else "FAIL"
-                rows.append(("growth_constant_M", rec.M, ""))
-                rows.append(("growth_exponent", rec.growth_exponent, verdicts["regular_point"]))
-
-            with _or_degenerate(man, rows, "jr_monotone", "jr_constancy_defect"):
-                series, sv = j_series_check(u, x0, radii)
-                series_to_csv(series, man.emit("jr_series.csv"))
-                rows.append(("jr_constancy_defect", sv.constancy_defect, sv.verdict))
-                verdicts["jr_monotone"] = sv.verdict
-
-            fit = None
-            with _or_degenerate(man, rows, "alpha_beta", "alpha_beta"):
-                fit = fit_two_plane(u, x0, radii)
-                rows.append(("fit_alpha", fit.alpha, ""))
-                rows.append(("fit_beta", fit.beta, ""))
-                rows.append(("fit_residual", fit.residual, ""))
-                verdicts["alpha_beta"] = check_alpha_beta(fit, cfg["rel_tol"])
-                rows.append(("alpha_beta", abs(fit.alpha - fit.beta), verdicts["alpha_beta"]))
-
-            flat = flatness_measure(u, x0, min(radii))
-            rows.append(("flatness", flat, ""))
-
-            with _or_degenerate(man, rows, "cone_monotone", "epsilon_monotonicity"):
-                if cfg["cone.angle"] is not None:
-                    cone = ConeSpec.from_degrees(cfg["cone.angle"], cfg["cone.theta"])
-                elif fit is not None:
-                    cone = ConeSpec(fit.nu, math.radians(cfg["cone.theta"]))
-                else:
-                    why = man.data["telemetry"]["degenerate"]["alpha_beta"]
-                    raise ParseError("no cone axis: set cone.angle or let the fit succeed "
-                                     f"(it raised {why})")
-                margin = min(x0[0] - spec.origin[0], x0[1] - spec.origin[1],
-                             spec.origin[0] + spec.extent - x0[0],
-                             spec.origin[1] + spec.extent - x0[1])
-                half = 0.4 * margin
-                em = epsilon_monotonicity(
-                    u, cone, (x0[0] - half, x0[0] + half, x0[1] - half, x0[1] + half))
-                verdicts["cone_monotone"] = "PASS" if math.isfinite(em) else "FAIL"
-                rows.append(("epsilon_monotonicity", em, verdicts["cone_monotone"]))
-
+        rep = interface_report(u, cfg["x0"], cfg["radii"], cfg["cone.angle"], cfg["cone.theta"],
+                               cfg["rel_tol"])
+        curve_to_csv(rep.curve, man.emit("curve.csv"))
+        if rep.series is not None:
+            series_to_csv(rep.series, man.emit("jr_series.csv"))
+    man.data["telemetry"].update(rep.telemetry)
+    man.data["verdicts"].update(rep.verdicts)
     with open(man.emit("diagnostics.csv"), "w") as fh:
         fh.write("metric,value,verdict\n")
-        for name, value, verdict in rows:
+        for name, value, verdict in rep.rows:
             fh.write(f"{name},{value:.17g},{verdict}\n")
 
 

@@ -12,7 +12,8 @@ On top of the curve sit the diagnostics: coincidence of the two phase
 boundaries (Hausdorff distance between one level curve of each phase),
 growth classification of interface points, two-plane slope fits with the
 equal-slope check, band flatness of level sets, and cone monotonicity
-measured on a dyadic epsilon ladder.
+measured on a dyadic epsilon ladder.  :func:`interface_report` holds the
+rules that turn them and the J_r product into the five ``diagnose`` verdicts.
 
 A point is regular iff its growth exponent k, sup_{B_r} |u| ~ r^k read as
 a log-log slope over the record's radii, is below 3/2: halfway between the
@@ -33,11 +34,14 @@ constant shift is one bilinear combination of four shifted slices.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+# j_series_check is looked up on its module, where bench/tracer.py wraps it
+from . import monotonicity
 from .errors import ConfigurationError, InputError
 from .grid import (GridField, GridSpec, bilinear_sample, bilinear_shift, blowup_stack,
                    gradient_field, lipschitz_seminorm, require_radii)
@@ -457,6 +461,108 @@ def epsilon_monotonicity(u: GridField, cone: ConeSpec, window) -> float:
         else:
             break
     return best
+
+
+# boundary_consistency reads 2h even on exactly coincident phases, so the
+# PASS bound is one cell above that (a carved 2h dead core reads 4h)
+CONSISTENCY_CELLS = 3.0
+# the cone window's half-width per unit of x0's wall distance; the other 0.6 is the translates'
+CONE_WINDOW_FRACTION = 0.4
+
+
+@dataclass
+class InterfaceReport:
+    """The zero set, J_r series (None if not measured), ``(metric, value, verdict)``
+    rows, verdicts, and telemetry, whose ``degenerate`` table gives their reasons."""
+
+    curve: FreeBoundaryCurve
+    series: monotonicity.JrSeries | None = None
+    rows: list = field(default_factory=list)
+    verdicts: dict = field(default_factory=dict)
+    telemetry: dict = field(default_factory=dict)
+
+    def judge(self, name: str, metric: str, value: float, verdict: str) -> None:
+        self.verdicts[name] = verdict
+        self.rows.append((metric, value, verdict))
+
+    @contextlib.contextmanager
+    def or_degenerate(self, name: str, metric: str | None = None):
+        """A ValueError makes ``name`` DEGENERATE: a NaN ``metric`` row, the error its reason."""
+        try:
+            yield
+        except ValueError as exc:
+            self.telemetry.setdefault("degenerate", {})[name] = f"{type(exc).__name__}: {exc}"
+            self.judge(name, metric or name, math.nan, "DEGENERATE")
+
+
+def interface_report(u: GridField, x0=None, radii=None, cone_angle=None,
+                     cone_theta: float = 60.0, rel_tol: float = 0.05) -> InterfaceReport:
+    """The five ``diagnose`` verdicts of ``u`` at ``x0`` over ``radii``, by the
+    rules of the module constants, classify_regular, j_series_check,
+    check_alpha_beta at ``rel_tol`` and epsilon_monotonicity for the cone of
+    semi-opening ``cone_theta`` degrees about ``cone_angle`` degrees or the
+    fitted normal.  ``x0`` defaults to the vertex nearest the centre, ``radii``
+    to four evenly spaced from max(extent / 20, 8h), the fit's floor, to
+    extent / 5, whose 2r blow-up stays inside (InputError if none fit).  A
+    diagnostic that raises ValueError, or needs a missing zero set, reads
+    DEGENERATE."""
+    spec = u.spec
+    rep = InterfaceReport(extract_zero_set(u))
+    bc = boundary_consistency(u)
+    with rep.or_degenerate("boundary_consistency"):
+        if math.isnan(bc):
+            raise ValueError("boundary_consistency is NaN: a phase is missing or no "
+                             "level-curve vertex lies 4h from the walls")
+        rep.judge("boundary_consistency", "boundary_consistency", bc,
+                  "PASS" if bc <= CONSISTENCY_CELLS * spec.h else "FAIL")
+    if rep.curve.is_empty:
+        for name in ("regular_point", "jr_monotone", "alpha_beta", "cone_monotone"):
+            with rep.or_degenerate(name):
+                raise ValueError("no zero set")
+        return rep
+    if x0 is None:
+        x0 = tuple(rep.curve.vertices[rep.curve.nearest_vertex(spec.center)])
+    if radii is None:
+        lo, hi = max(spec.extent / 20.0, 8.0 * spec.h), spec.extent / 5.0
+        if not lo < hi:
+            raise InputError(f"the field's 8h = {8 * spec.h:g} leaves no default radii "
+                             f"below extent / 5 = {hi:g}; set radii")
+        radii = tuple(lo + (hi - lo) * k / 3.0 for k in range(4))
+    rep.telemetry["radii"] = list(radii)
+    with rep.or_degenerate("regular_point", "growth_exponent"):
+        rec = classify_regular(u, x0, radii)
+        rep.telemetry.update(M=rec.M, growth_exponent=rec.growth_exponent, c_lower=rec.c_lower,
+                             C_upper=rec.C_upper, zero_density=rec.zero_density)
+        rep.rows.append(("growth_constant_M", rec.M, ""))
+        rep.judge("regular_point", "growth_exponent", rec.growth_exponent,
+                  "PASS" if rec.is_regular else "FAIL")
+    with rep.or_degenerate("jr_monotone", "jr_constancy_defect"):
+        rep.series, sv = monotonicity.j_series_check(u, x0, radii)
+        rep.judge("jr_monotone", "jr_constancy_defect", sv.constancy_defect, sv.verdict)
+    fit = None
+    with rep.or_degenerate("alpha_beta"):
+        fit = fit_two_plane(u, x0, radii)
+        rep.rows += [("fit_alpha", fit.alpha, ""), ("fit_beta", fit.beta, ""),
+                     ("fit_residual", fit.residual, "")]
+        rep.judge("alpha_beta", "alpha_beta", abs(fit.alpha - fit.beta),
+                  check_alpha_beta(fit, rel_tol))
+    rep.rows.append(("flatness", flatness_measure(u, x0, min(radii)), ""))
+    with rep.or_degenerate("cone_monotone", "epsilon_monotonicity"):
+        if cone_angle is not None:
+            cone = ConeSpec.from_degrees(cone_angle, cone_theta)
+        elif fit is not None:
+            cone = ConeSpec(fit.nu, math.radians(cone_theta))
+        else:
+            raise InputError("no cone axis: set cone.angle or let the fit succeed "
+                             f"(it raised {rep.telemetry['degenerate']['alpha_beta']})")
+        ox, oy = spec.origin
+        half = CONE_WINDOW_FRACTION * min(x0[0] - ox, x0[1] - oy, ox + spec.extent - x0[0],
+                                          oy + spec.extent - x0[1])
+        em = epsilon_monotonicity(
+            u, cone, (x0[0] - half, x0[0] + half, x0[1] - half, x0[1] + half))
+        rep.judge("cone_monotone", "epsilon_monotonicity", em,
+                  "PASS" if math.isfinite(em) else "FAIL")
+    return rep
 
 
 def curve_to_csv(curve: FreeBoundaryCurve, path) -> None:

@@ -55,6 +55,10 @@ class GridSpec:
         return self.extent / (self.nx - 1)
 
     @property
+    def center(self) -> tuple[float, float]:
+        return (self.origin[0] + self.extent / 2.0, self.origin[1] + self.extent / 2.0)
+
+    @property
     def xs(self) -> np.ndarray:
         return self.origin[0] + self.h * np.arange(self.nx)
 

@@ -22,7 +22,6 @@ from pucci_lab import (
     SchemeSpec,
     SymMat2,
     bilinear_sample,
-    boundary_consistency,
     check_alpha_beta,
     classify_regular,
     epsilon_monotonicity,
@@ -31,6 +30,8 @@ from pucci_lab import (
     family_extremal,
     fit_two_plane,
     flatness_measure,
+    freeboundary,
+    interface_report,
     j_series_check,
     lipschitz_seminorm,
     make_fixture,
@@ -90,6 +91,17 @@ def regular_points(scalar_limit):
         fit = fit_two_plane(scalar_limit, x0, FIT_RADII)
         points.append((x0, rec, fit))
     return points
+
+
+@pytest.fixture(scope="module")
+def limit_report(scalar_limit):
+    """The interface report at the limit's vertex nearest the centre (the
+    second regular point), over the default radii."""
+    return interface_report(scalar_limit)
+
+
+def row_values(rep):
+    return {metric: value for metric, value, _ in rep.rows}
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +348,7 @@ def test_criterion_10_free_boundary_condition(regular_points):
     assert all(v == "PASS" for v in verdicts)
 
 
-def test_criterion_11_flatness_and_coincidence(scalar_limit, regular_points):
+def test_criterion_11_flatness_and_coincidence(scalar_limit, regular_points, limit_report):
     flats_ok = True
     flat_detail = []
     for x0, _, _ in regular_points:
@@ -344,32 +356,29 @@ def test_criterion_11_flatness_and_coincidence(scalar_limit, regular_points):
         flats_ok = flats_ok and all(b <= a + 1e-12 for a, b in zip(flats, flats[1:]))
         flat_detail.append("[" + " ".join(f"{f:.1e}" for f in flats) + "]")
     h = scalar_limit.spec.h
-    bc = boundary_consistency(scalar_limit)
     # negative control: a dead core of width 2h carved between the phases
     v = scalar_limit.values
     shrunk = np.maximum(np.abs(v) - h * lipschitz_seminorm(scalar_limit), 0.0)
-    cored = boundary_consistency(GridField(scalar_limit.spec, np.sign(v) * shrunk))
-    bound = 3.0 * h
-    ok = flats_ok and bc <= bound < cored
+    cored_report = interface_report(GridField(scalar_limit.spec, np.sign(v) * shrunk))
+    bc = row_values(limit_report)["boundary_consistency"]
+    cored = row_values(cored_report)["boundary_consistency"]
+    verdicts = (limit_report.verdicts["boundary_consistency"],
+                cored_report.verdicts["boundary_consistency"])
+    ok = flats_ok and verdicts == ("PASS", "FAIL")
     report(11, "flatness and coincidence", ok,
            f"flats {' '.join(flat_detail)}, consistency {bc / h:.4f}h, "
-           f"dead-core control {cored / h:.4f}h, bound 3h")
+           f"dead-core control {cored / h:.4f}h, bound {freeboundary.CONSISTENCY_CELLS:g}h")
     assert flats_ok
     # exactly coincident phases read at most 2h (the 360-angle sweep in
-    # test_freeboundary.py); the bound is one cell more.  See the
+    # test_freeboundary.py); the report's bound is one cell more.  See the
     # acceptance-battery section of the README
-    assert bc <= bound
-    assert cored > bound
+    assert verdicts == ("PASS", "FAIL")
 
 
-def test_criterion_12_epsilon_monotonicity(scalar_limit, regular_points):
-    x0, _, fit = regular_points[1]
-    spec = scalar_limit.spec
-    margin = min(x0[0], x0[1], spec.extent - x0[0], spec.extent - x0[1])
-    half = 0.4 * margin
-    cone = ConeSpec(fit.nu, math.radians(60.0))
-    em = epsilon_monotonicity(
-        scalar_limit, cone, (x0[0] - half, x0[0] + half, x0[1] - half, x0[1] + half))
+def test_criterion_12_epsilon_monotonicity(limit_report):
+    # the 60-degree cone about the normal fitted at the smallest radius
+    em = row_values(limit_report)["epsilon_monotonicity"]
+    cone_ok = limit_report.verdicts["cone_monotone"] == "PASS" and em <= 0.1
 
     g = GridSpec(65)
     axis_cone = ConeSpec.from_degrees(0.0, 60.0)
@@ -383,10 +392,10 @@ def test_criterion_12_epsilon_monotonicity(scalar_limit, regular_points):
         axis_cone, window)
 
     planes_ok = all(e == 2.0 * g.h for e in plane_eps) and beyond == math.inf
-    ok = math.isfinite(em) and em <= 0.1 and planes_ok
+    ok = cone_ok and planes_ok
     report(12, "epsilon monotonicity", ok,
            f"solved-limit eps {em:.6f}, plane tilts -> "
            + ", ".join(f"{e:.4f}" for e in plane_eps)
            + f", past-cone tilt -> {beyond}")
-    assert math.isfinite(em) and em <= 0.1
+    assert cone_ok
     assert planes_ok

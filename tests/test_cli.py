@@ -210,11 +210,16 @@ def test_parse_fixture_rule_is_the_builders(fixture, param, bads):
         assert str(lib.value) in str(exc.value)
 
 
-def test_parse_leaves_a_key_the_fixture_does_not_read_unchecked():
-    # psi reads no alpha: the value configures nothing, so nothing rejects it
+def test_parse_leaves_a_key_the_fixture_does_not_read_unchecked(tmp_path):
+    # psi reads no alpha: the value configures nothing, so nothing rejects it,
+    # and the echo and its hash leave it out
     cfg = cli.parse_config("command = solve\nfixture = psi\nfixture.alpha = -1\n")
-    assert cfg["fixture.alpha"] == -1.0
+    plain = cli.parse_config("command = solve\nfixture = psi\n")
+    assert "fixture.alpha" not in cfg.table
     assert "alpha" not in cli._fixture_kwargs(cfg)
+    assert cfg.echo_lines() == plain.echo_lines()
+    assert (cli._Manifest(cfg, str(tmp_path)).data["config_hash"]
+            == cli._Manifest(plain, str(tmp_path)).data["config_hash"])
 
 
 @pytest.mark.parametrize("name", list(barriers.FIXTURE_BUILDERS))

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -28,11 +30,14 @@ from pucci_lab import (
     epsilon_sweep,
     extract_zero_set,
     fit_two_plane,
+    field_from_csv,
+    field_to_csv,
     flatness_measure,
+    interface_report,
     make_fixture,
     make_grid,
 )
-from pucci_lab import freeboundary
+from pucci_lab import cli, freeboundary
 
 
 def circle_field(gspec, R, c=(0.5, 0.5)):
@@ -721,3 +726,92 @@ def test_curve_to_csv_open_and_closed(tmp_path):
     # a closed loop repeats its starting vertex
     assert len(rows) == len(ring.vertices) + 1
     assert rows[0] == rows[-1]
+
+
+# each verdict of interface_report and the row that carries it
+VERDICT_ROWS = {"boundary_consistency": "boundary_consistency",
+                "regular_point": "growth_exponent", "jr_monotone": "jr_constancy_defect",
+                "alpha_beta": "alpha_beta", "cone_monotone": "epsilon_monotonicity"}
+
+
+def test_interface_report_passes_an_equal_slope_two_plane_field():
+    u = make_fixture(GridSpec(129), "two_plane", alpha=1.0, beta=1.0, angle=20.0)
+    rep = interface_report(u)
+    assert list(rep.verdicts.items()) == [(name, "PASS") for name in VERDICT_ROWS]
+    assert [m for m, _, _ in rep.rows] == [
+        "boundary_consistency", "growth_constant_M", "growth_exponent", "jr_constancy_defect",
+        "fit_alpha", "fit_beta", "fit_residual", "alpha_beta", "flatness",
+        "epsilon_monotonicity"]
+    assert {m: v for m, _, v in rep.rows if v} == {
+        VERDICT_ROWS[name]: v for name, v in rep.verdicts.items()}
+    assert "degenerate" not in rep.telemetry
+    # x0 is the zero set's vertex nearest the centre
+    x0 = rep.curve.vertices[rep.curve.nearest_vertex((0.5, 0.5))]
+    assert np.array_equal(rep.series.x0, x0)
+
+
+@pytest.mark.parametrize("beta, rel_tol, verdict",
+                         [(1.0, 0.05, "PASS"), (2.0, 0.05, "FAIL"), (2.0, 0.6, "PASS")])
+def test_interface_report_alpha_beta_verdict(beta, rel_tol, verdict):
+    u = make_fixture(GridSpec(129), "two_plane", alpha=1.0, beta=beta, angle=20.0)
+    rep = interface_report(u, radii=(0.1, 0.15, 0.2), rel_tol=rel_tol)
+    row = {m: v for m, v, _ in rep.rows}
+    assert rep.verdicts["alpha_beta"] == verdict
+    assert row["fit_beta"] == pytest.approx(beta, rel=0.02)
+    assert row["alpha_beta"] == abs(row["fit_alpha"] - row["fit_beta"])
+    assert rep.verdicts["boundary_consistency"] == "PASS"
+
+
+def test_interface_report_on_a_one_signed_field_is_degenerate():
+    g = GridSpec(65)
+    xx, _ = g.node_coords()
+    rep = interface_report(GridField(g, xx + 1.0))
+    assert rep.curve.is_empty and rep.series is None
+    assert rep.verdicts == dict.fromkeys(VERDICT_ROWS, "DEGENERATE")
+    # with no zero set each point verdict's NaN row carries its own name
+    assert [m for m, _, _ in rep.rows] == list(VERDICT_ROWS)
+    assert all(math.isnan(v) and verdict == "DEGENERATE" for _, v, verdict in rep.rows)
+    reasons = dict(rep.telemetry.pop("degenerate"))
+    assert rep.telemetry == {}
+    assert reasons.pop("boundary_consistency").startswith(
+        "ValueError: boundary_consistency is NaN: a phase is missing")
+    assert reasons == dict.fromkeys(list(VERDICT_ROWS)[1:], "ValueError: no zero set")
+
+
+def test_interface_report_without_a_fit_has_no_cone_axis():
+    u = make_fixture(GridSpec(129), "two_plane")
+    reasons = interface_report(u, x0=(0.05, 0.5)).telemetry["degenerate"]
+    assert reasons["alpha_beta"].startswith("DomainError: ")
+    assert reasons["cone_monotone"] == (
+        "InputError: no cone axis: set cone.angle or let the fit succeed (it raised "
+        + reasons["alpha_beta"] + ")")
+    # a given axis needs no fit
+    rep = interface_report(u, x0=(0.05, 0.5), cone_angle=10.0)
+    assert "cone_monotone" not in rep.telemetry["degenerate"]
+
+
+def test_interface_report_default_radii():
+    # four radii from max(extent / 20, 8h) to extent / 5
+    rep = interface_report(make_fixture(GridSpec(65), "two_plane"))
+    assert rep.telemetry["radii"] == pytest.approx([0.125, 0.15, 0.175, 0.2], abs=1e-15)
+    coarse = make_fixture(GridSpec(33), "two_plane")
+    with pytest.raises(InputError, match="8h = 0.25 leaves no default radii"):
+        interface_report(coarse)
+    assert interface_report(coarse, radii=(0.1, 0.2)).telemetry["radii"] == [0.1, 0.2]
+
+
+def test_diagnose_writes_the_report(tmp_path):
+    path = str(tmp_path / "tp.csv")
+    field_to_csv(make_fixture(GridSpec(129), "two_plane", alpha=1.0, beta=2.0), path)
+    out = str(tmp_path / "d")
+    text = f"command = diagnose\nfield = {path}\nradii = 0.1,0.15,0.2\n"
+    assert cli.run(cli.parse_config(text), out_dir=out, quiet=True) == 1
+    rep = interface_report(field_from_csv(path), radii=(0.1, 0.15, 0.2))
+    with open(os.path.join(out, "diagnostics.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "metric,value,verdict"
+    rows = [(m, float(v), verdict) for m, v, verdict in (ln.split(",") for ln in lines[1:])]
+    assert rows == rep.rows
+    with open(os.path.join(out, "manifest")) as fh:
+        man = json.load(fh)
+    assert (man["verdicts"], man["telemetry"]) == (rep.verdicts, rep.telemetry)

@@ -1,7 +1,8 @@
 """Import layering: the interface diagnostics read fields, so they import
-from the package's error and grid modules only, never from the operators or
-the solver; a field's memo of derived data is grid.py's alone; and the
-package's ``__all__`` lists exactly what it imports."""
+from the package's error and grid modules (and the interface report from the
+J_r module), never from the operators, the solver, the barriers or the CLI;
+a field's memo of derived data is grid.py's alone; and the package's
+``__all__`` lists exactly what it imports."""
 
 import ast
 import os
@@ -14,19 +15,26 @@ import pucci_lab
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "pucci_lab")
 
 
-@pytest.mark.parametrize("module", ["freeboundary", "monotonicity"])
-def test_diagnostics_import_only_errors_and_grid(module):
+# freeboundary may import monotonicity and not the reverse, so the two form no cycle
+DIAGNOSTICS_IMPORTS = {"freeboundary": {".errors", ".grid", ".monotonicity"},
+                       "monotonicity": {".errors", ".grid"}}
+
+
+@pytest.mark.parametrize("module", sorted(DIAGNOSTICS_IMPORTS))
+def test_diagnostics_never_import_operators_or_solver(module):
     with open(os.path.join(SRC, f"{module}.py")) as fh:
         tree = ast.parse(fh.read())
     internal = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             name = "." * node.level + (node.module or "")
-            if node.level > 0 or name.startswith("pucci_lab"):
+            if node.module is None:  # from . import x imports the module x
+                internal.update(name + a.name for a in node.names)
+            elif node.level > 0 or name.startswith("pucci_lab"):
                 internal.add(name)
         elif isinstance(node, ast.Import):
             internal.update(a.name for a in node.names if a.name.startswith("pucci_lab"))
-    assert internal <= {".errors", ".grid"}, internal
+    assert internal <= DIAGNOSTICS_IMPORTS[module], internal
 
 
 def _memo_references(module):
