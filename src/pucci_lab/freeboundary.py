@@ -194,13 +194,16 @@ def _sup_dist_to_curve(pts: np.ndarray, curve: FreeBoundaryCurve) -> float:
     """Max over pts of the distance to the nearest point of the polyline
     (segments, not just vertices, so curve endpoints are not overcounted)."""
     seg = np.asarray(curve.segments)
-    p = curve.vertices[seg[:, 0]]
-    d = curve.vertices[seg[:, 1]] - p
-    len2 = np.where((d * d).sum(1) == 0.0, 1.0, (d * d).sum(1))
-    w = pts[:, None, :] - p[None, :, :]
-    t = np.clip((w * d[None]).sum(-1) / len2[None], 0.0, 1.0)
-    gap = w - t[..., None] * d[None]
-    return float(np.sqrt((gap * gap).sum(-1).min(1).max()))
+    px, py = curve.vertices[seg[:, 0]].T.copy()
+    dx, dy = curve.vertices[seg[:, 1]].T - (px, py)
+    len2 = dx * dx + dy * dy
+    len2[len2 == 0.0] = 1.0
+    # every point against every segment, on (points, segments) arrays per axis
+    wx, wy = pts[:, :1] - px, pts[:, 1:] - py
+    t = np.clip((wx * dx + wy * dy) / len2, 0.0, 1.0)
+    wx -= t * dx
+    wy -= t * dy
+    return float(np.sqrt((wx * wx + wy * wy).min(1).max()))
 
 
 def boundary_consistency(u: GridField) -> float:

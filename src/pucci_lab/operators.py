@@ -56,9 +56,9 @@ side): F- runs its minus family's inf side, F+ its plus family's sup side,
 G_eps both, blended by H_eps; M- and M+ run the full Pucci class, and the
 laplacian the identity's inf side on the central Hessian whatever the
 scheme.  On request the kernel also returns the matrix attaining its side,
-the policy; ``linearize`` turns it into the Jacobian of the residual at
-that policy, as coefficients on the second differences (three on the central
-scheme, four on the wide one), and ``jacobian_apply`` applies it matrix-free.
+the policy, and ``residual_interior`` with ``jacobian`` returns the Jacobian
+of the residual at that policy assembled as one 9-point stencil, on every
+scheme and selector, which ``stencil_apply`` applies in one pass.
 Each kernel takes a grid or a stack of grids, shape (..., nx, nx), and returns
 interior blocks (..., nx-2, nx-2), bit for bit those of each grid alone.
 """
@@ -355,8 +355,9 @@ def _frames(u: np.ndarray, h: float, scheme: SchemeSpec):
 
 
 def _frame_coefs(act, rot):
-    """Coefficients of tr(A frame), A = (A11, A12, A22), as ``linearize``
-    returns them: (k_xx, k_yy, k_xy) centrally, (k_xx, k_yy, k_p, k_m) wide."""
+    """Coefficients of tr(A frame), A = (A11, A12, A22), on the second
+    differences (``_residual``): (k_xx, k_yy, k_xy) centrally, (k_xx, k_yy,
+    k_p, k_m) wide."""
     a11, a12, a22 = act
     if rot is None:  # 2 A12 u_xy = A12 (u_xy+ + u_xy-)
         return a11, a22, a12
@@ -385,34 +386,29 @@ def _over_frames(frames, fam: MatrixFamily, sup: bool, policy: bool = False):
 
 def residual_interior(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
                       pair: OperatorPair | None = None, ell: Ellipticity | None = None,
-                      eps: float | None = None) -> np.ndarray:
+                      eps: float | None = None, jacobian: bool = False):
     """Residual of the selected operator on the interior block, shape (..., nx-2, nx-2).
 
     The laplacian is the trace of the central Hessian on either scheme.  Both
     schemes read only the 3x3 neighbourhood of each node, which fits inside
-    the one-node Dirichlet ring for every interior node.
+    the one-node Dirichlet ring for every interior node.  With ``jacobian``
+    it returns ``(value, stencil)``, the value bit for bit as without, and
+    the Jacobian of the residual at its active policy (each node's attaining
+    matrix and frame, plus H'(u) (F- - F+) for G_eps) as the 9-point stencil
+    ``stencil_apply`` applies: five weights (centre, E/W, N/S, NE/SW, NW/SE)
+    over h^2, arrays or, for the identity family on the central scheme,
+    scalars.
     """
-    return _residual(u, h, op, scheme, pair, ell, eps, False)[0]
-
-
-def linearize(u: np.ndarray, h: float, op: str, scheme: SchemeSpec,
-              pair: OperatorPair | None = None, ell: Ellipticity | None = None,
-              eps: float | None = None):
-    """The residual (``residual_interior``, bit for bit) and the Jacobian of
-    its active policy, as ``(value, coefs, diag)``, each (..., nx-2, nx-2).
-
-    The policy holds each node's attaining matrix (and frame).  Its Jacobian
-    applied to an increment d is k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy-
-    + diag d, on the central second differences and the 7-point mixed
-    differences u_xy+- of the module docstring.  ``coefs`` is (k_xx, k_yy,
-    k_p, k_m) on the wide scheme and (k_xx, k_yy, k_xy) with k_p = k_m = k_xy
-    on the central scheme and for the laplacian; ``diag`` is H'(u) (F- - F+)
-    for G_eps and None otherwise.  ``jacobian_apply`` evaluates it.
-    """
-    return _residual(u, h, op, scheme, pair, ell, eps, True)
+    value, coefs, diag = _residual(u, h, op, scheme, pair, ell, eps, jacobian)
+    return (value, _assemble(coefs, diag, h)) if jacobian else value
 
 
 def _residual(u, h, op, scheme, pair, ell, eps, policy):
+    """(value, coefs, diag): the residual and, with ``policy``, the policy
+    Jacobian's coefficients on the second differences, (k_xx, k_yy, k_xy)
+    centrally and (k_xx, k_yy, k_p, k_m) on the 7-point mixed differences
+    u_xy+- of the wide scheme, and diag = H'(u) (F- - F+) for G_eps, else
+    None."""
     scheme, *fams = _resolve(op, scheme, pair, ell, eps)
     frames = _frames(u, h, scheme)
     sides = [_over_frames(frames, fam, sup, policy)
@@ -429,50 +425,51 @@ def _residual(u, h, op, scheme, pair, ell, eps, policy):
     # hh k_m + gg k_p, blended in k_m's arrays (the identity's are scalars)
     coefs = tuple(hh * x + gg * y if np.isscalar(x) else
                   np.add(np.multiply(x, hh, out=x), gg * y, out=x) for x, y in zip(k_m, k_p))
+    del sides, k_p, hh, gg  # the plus side's coefficients, blended
     # d H / d t = 3 s (1 - s) / eps, s clamped to [0, 1] as in heaviside_smooth
     s = np.clip((u[..., 1:-1, 1:-1] + eps) / (2.0 * eps), 0.0, 1.0)
     diag = (3.0 / eps) * s * (1.0 - s) * (fm - fp)
     return value, coefs, diag
 
 
-def jacobian_apply(coefs, diag, d: np.ndarray, h: float) -> np.ndarray:
-    """The policy Jacobian of ``linearize`` applied to the increment ``d``,
-    (..., nx, nx), zero on the ring; returns the interior (..., nx-2, nx-2).
+def _assemble(coefs, diag, h: float):
+    """The Jacobian k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy- (+ diag d)
+    of ``_residual``'s coefficients as a 9-point stencil, its weights over
+    h^2 as (centre, E/W, N/S, NE/SW, NW/SE); three coefficients mean
+    k_p = k_m = k_xy.
 
     By the definitions of u_xy+- it is w_x d_xx + w_y d_yy + (k_p / 2) D+ -
-    (k_m / 2) D- (+ diag d) with w = k + (k_m - k_p) / 2 on both axes.  The
-    central scheme's three coefficients are k_p = k_m = k_xy, which keeps
-    only the four-corner part of D+ - D-.
+    (k_m / 2) D- with w = k + (k_m - k_p) / 2 on both axes.  Every second
+    difference has zero row sum, so the centre is -2 times the sum of the
+    other weights (plus diag); on the central scheme the diagonal weights
+    cancel exactly.
     """
-    k_xx, k_yy, *k_mixed = coefs
-    mid = d[..., 1:-1, 1:-1]
-    out = d[..., 2:, 2:] + d[..., :-2, :-2]
-    t = np.empty_like(mid)
-    if len(k_mixed) == 1:
-        out -= d[..., :-2, 2:]
-        out -= d[..., 2:, :-2]
-        out *= k_mixed[0]
-    else:
-        k_p, k_m = k_mixed
+    k_xx, k_yy, k_p, k_m = coefs if len(coefs) == 4 else (*coefs, coefs[2])
+    s = 1.0 / (h * h)
+    if k_m is not k_p:
         shift = 0.5 * (k_m - k_p)
         k_xx, k_yy = k_xx + shift, k_yy + shift
-        out -= 2.0 * mid
-        out *= k_p
-        np.add(d[..., :-2, 2:], d[..., 2:, :-2], out=t)
-        t -= 2.0 * mid
-        t *= k_m
-        out -= t
-    out *= 0.5
-    for k, fwd, back in ((k_xx, d[..., 2:, 1:-1], d[..., :-2, 1:-1]),
-                         (k_yy, d[..., 1:-1, 2:], d[..., 1:-1, :-2])):
-        np.add(fwd, back, out=t)
-        t -= mid
-        t -= mid
-        t *= k
-        out += t
-    out /= h * h
+    ew, ns, ne, nw = s * k_xx, s * k_yy, (0.5 * s) * k_p, (-0.5 * s) * k_m
+    centre = -2.0 * ((ew + ns) + (ne + nw))
     if diag is not None:
-        np.multiply(diag, mid, out=t)
+        centre += diag
+    return centre, ew, ns, ne, nw
+
+
+def stencil_apply(stencil, d: np.ndarray) -> np.ndarray:
+    """The 9-point ``stencil`` of ``residual_interior`` applied to ``d``,
+    (..., nx, nx); returns the interior (..., nx-2, nx-2).  One pass: each
+    opposite pair of neighbours is summed and scaled by its weight."""
+    centre, ew, ns, ne, nw = stencil
+    mid = d[..., 1:-1, 1:-1]
+    out = centre * mid
+    t = np.empty_like(mid)
+    for w, fwd, back in ((ew, d[..., 2:, 1:-1], d[..., :-2, 1:-1]),
+                         (ns, d[..., 1:-1, 2:], d[..., 1:-1, :-2]),
+                         (ne, d[..., 2:, 2:], d[..., :-2, :-2]),
+                         (nw, d[..., :-2, 2:], d[..., 2:, :-2])):
+        np.add(fwd, back, out=t)
+        t *= w
         out += t
     return out
 

@@ -2,9 +2,10 @@
 segregation system.
 
 Scalar problems solve R(u) = 0 for the residual R of
-:mod:`pucci_lab.operators`.  Each Newton step linearizes R at its active
-policy (``operators.linearize``: the attaining matrix per node, plus
-H'(u) (F- - F+) for G_eps), solves J delta = -R matrix-free by BiCGSTAB
+:mod:`pucci_lab.operators`.  One kernel evaluation per iterate gives R and
+its Jacobian J at the active policy (the attaining matrix per node, plus
+H'(u) (F- - F+) for G_eps) as an assembled 9-point stencil; each Newton step
+solves J delta = -R by BiCGSTAB, one stencil pass per product,
 preconditioned with the inverse of (lam + Lam) / 2 times the 5-point
 Laplacian (a dense sine basis), (lam, Lam) the band of the families the
 selector runs, (1, 1) for the laplacian, to a relative residual that is a
@@ -23,10 +24,11 @@ tolerances keep their meaning.  Its semismooth Newton step (Hintermueller,
 Ito & Kunisch 2002) takes the row d_i / tau = -v_i / tau where
 v_i / tau < G_i (the active set) and the row
 -J_i d_i + (v_j d_i + v_i d_j) / eps = -G_i elsewhere, J_i the policy
-Jacobian of M-(u_i).  Scaled by tau, the active rows read d_i = -v_i: they
-are held rows, like frozen nodes, and the (2, n, n) stack of both species
-goes through each residual and policy-Jacobian call and the same direction,
-BiCGSTAB and preconditioner as a scalar solve.
+Jacobian of M-(u_i): its stencil negated, v_j / eps added on the centre,
+and the coupling (v_i / eps) d_j one product.  Scaled by tau, the active
+rows read d_i = -v_i: they are held rows, like frozen nodes, and the
+(2, n, n) stack of both species goes through each kernel evaluation and the
+same direction, BiCGSTAB and preconditioner as a scalar solve.
 
 Both share one damped Newton loop: each step halves from 1 down to 2^-10
 until the interior sup-norm of the residual falls.  It stops when that
@@ -61,10 +63,10 @@ from .operators import (
     Ellipticity,
     OperatorPair,
     SchemeSpec,
+    _assemble,
     _resolve,
-    jacobian_apply,
-    linearize,
     residual_interior,
+    stencil_apply,
 )
 
 # Newton-Krylov constants: BiCGSTAB's relative tolerance, the floor of each
@@ -185,24 +187,19 @@ def solve_dirichlet(
             frozen_int = None
 
     def residual(v):
-        r = residual_interior(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
+        r, jac = residual_interior(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps,
+                                   jacobian=True)
         if frozen_int is not None:
             r[frozen_int] = 0.0
-        return r, float(np.abs(r).max())
+        return r, float(np.abs(r).max()), jac
 
     band = (minus or plus).ell
     precond = _PoissonPreconditioner(spec.nx - 2, spec.h, 0.5 * (band.lam + band.Lam))
     pad = np.zeros_like(u)
     krylov = [] if initial is not None else [_harmonic_start(u, precond, pad, frozen_int, spec.h)]
 
-    def direction(v, res_arr, eta):
-        _, coefs, diag = linearize(v, spec.h, op, cfg.scheme, pair=pair, ell=ell, eps=cfg.eps)
-
-        def jac(x):
-            pad[1:-1, 1:-1] = x
-            return jacobian_apply(coefs, diag, pad, spec.h)
-
-        return _newton_direction(jac, res_arr, precond, frozen_int, eta)
+    def direction(v, res_arr, jac, eta):
+        return _newton_direction(jac, res_arr, precond, pad, frozen_int, eta)
 
     u, history, tel = _newton(u, residual, direction, cfg, spec, krylov)
     out = GridField(spec, u)
@@ -214,26 +211,31 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: li
     """Damped Newton on the interior of ``u`` (a grid array, or a stack of
     them), the one loop of every solve.
 
-    ``residual(u)`` returns the residual array and its sup-norm;
-    ``direction(u, r, eta)`` returns the Newton increment of the interior,
-    solved to the relative tolerance ``eta = _forcing(history, cfg.tol,
-    adaptive)``, and its Krylov iteration count, and may consume ``r``.
+    ``residual(u)`` returns the residual array, its sup-norm and the
+    Jacobian at its policy, from one kernel evaluation; ``direction(u, r,
+    jac, eta)`` returns the Newton increment of the interior from the
+    accepted iterate's ``r`` and ``jac``, solved to the relative tolerance
+    ``eta = _forcing(history, cfg.tol, adaptive)``, and its Krylov iteration
+    count, and may consume ``r`` and ``jac``.
     ``krylov`` lists the iteration counts of the Krylov solves that made
     ``u`` (a cold start's), and each step appends its own.  Each step halves
     from 1 down to MIN_STEP until the sup-norm falls; with ``nonnegative``
     each trial is clamped at 0 before its residual is evaluated.  Returns
     the last iterate, the sup-norm history and the telemetry: the stop
-    reason ("tol", "budget" or "stall"), the total Krylov iterations and the
-    number of Krylov solves that ended at KRYLOV_MAX_ITER; every accepted
-    step lowers the residual, so the last iterate is the best.
+    reason ("tol", "budget" or "stall"), the total Krylov iterations, the
+    number of Krylov solves that ended at KRYLOV_MAX_ITER and the number of
+    residual evaluations, rejected trials included; every accepted step
+    lowers the residual, so the last iterate is the best.
     """
-    res_arr, res = residual(u)
+    res_arr, res, jac = residual(u)
     if not np.isfinite(res):
         raise _blowup_error(res_arr, spec)
     history = [res]
+    evaluations = 1
     stop = "tol" if res <= cfg.tol else None
     while stop is None and len(history) < cfg.max_iter:
-        delta, k = direction(u, res_arr, _forcing(history, cfg.tol, adaptive))
+        delta, k = direction(u, res_arr, jac, _forcing(history, cfg.tol, adaptive))
+        res_arr = jac = None  # spent: the line search holds only its trial's
         krylov.append(k)
         trial = u.copy()
         step = 1.0
@@ -241,7 +243,8 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: li
             trial[..., 1:-1, 1:-1] = u[..., 1:-1, 1:-1] + step * delta
             if nonnegative:
                 np.maximum(trial, 0.0, out=trial)
-            t_arr, t_res = residual(trial)
+            t_arr, t_res, t_jac = residual(trial)
+            evaluations += 1
             if t_res < res:
                 break
             step *= 0.5
@@ -249,12 +252,13 @@ def _newton(u, residual, direction, cfg: SolveConfig, spec: GridSpec, krylov: li
                 stop = "stall"
                 break
         if stop is None:
-            u, res_arr, res = trial, t_arr, t_res
+            u, res_arr, res, jac = trial, t_arr, t_res, t_jac
             history.append(res)
             if res <= cfg.tol:
                 stop = "tol"
     return u, history, {"stop_reason": stop or "budget", "krylov_iterations": sum(krylov),
-                        "krylov_capped": krylov.count(KRYLOV_MAX_ITER)}
+                        "krylov_capped": krylov.count(KRYLOV_MAX_ITER),
+                        "evaluations": evaluations}
 
 
 def _forcing(history, tol: float, adaptive: bool) -> float:
@@ -275,50 +279,51 @@ def _harmonic_start(u, precond, pad, held, h) -> int:
     the Krylov iteration count.  It is one Newton direction of the 5-point
     Laplacian, which ``precond`` inverts up to its scale, so that with no
     held rows BiCGSTAB ends after one iteration."""
-    lap = (1.0, 1.0, 0.0)  # the Laplacian's policy coefficients
-
-    def jac(x):
-        pad[..., 1:-1, 1:-1] = x
-        return jacobian_apply(lap, None, pad, h)
-
-    r = jacobian_apply(lap, None, u, h)
+    lap = _assemble((1.0, 1.0, 0.0), None, h)  # the Laplacian's stencil
+    r = stencil_apply(lap, u)
     if held is not None:
         r[held] = 0.0
-    delta, k = _newton_direction(jac, r, precond, held, KRYLOV_RTOL)
+    delta, k = _newton_direction(lap, r, precond, pad, held, KRYLOV_RTOL)
     u[..., 1:-1, 1:-1] += delta
     return k
 
 
-def _newton_direction(jac_free, r, precond, held, rtol):
+def _newton_direction(stencil, r, precond, pad, held, rtol, coupling=None):
     """Solve J delta = -r to the relative residual ``rtol`` by preconditioned
     BiCGSTAB, the one linear solve of every Newton step; returns delta and
     the iteration count.
 
-    ``jac_free(x)`` is the caller's Jacobian applied to x (an interior block,
-    or a stack of them), read on the rows that are not ``held``.  The held
-    rows (a mask, or None) are identity rows of J: the preconditioner returns
-    its input there and inverts the Laplacian on the other rows with the held
-    entries zeroed.  ``r`` is consumed.
+    J x is ``stencil_apply(stencil, pad)`` with x (an interior block, or a
+    stack of them) written into the interior of ``pad``, whose ring is zero,
+    plus ``coupling`` times x with its species swapped when given.  The held
+    rows (a mask, or None) become identity rows of J, centre 1 and every
+    other weight 0; the preconditioner returns its input there and inverts
+    the Laplacian on the other rows with the held entries zeroed.  ``r`` is
+    consumed.
     """
     if held is None or not held.any():
-        jac, psolve = jac_free, precond.apply
+        psolve = precond.apply
     else:
         # 0/1 weights, built once a step: on a random 2 x 127^2 mask the
         # weighted update takes 0.06 ms, a masked assignment 0.5 ms
         on = held.astype(float)
         off = 1.0 - on
-
-        def jac(x):
-            out = jac_free(x)
-            out *= off
-            out += on * x
-            return out
+        centre, *rest = stencil
+        stencil = (centre * off + on, *(w * off for w in rest))
+        coupling = None if coupling is None else coupling * off
 
         def psolve(p):
             x = precond.apply(off * p)
             x *= off
             x += on * p
             return x
+
+    def jac(x):
+        pad[..., 1:-1, 1:-1] = x
+        out = stencil_apply(stencil, pad)
+        if coupling is not None:
+            out += coupling * x[::-1]
+        return out
 
     return _bicgstab(jac, psolve, np.negative(r, out=r), rtol)
 
@@ -426,8 +431,8 @@ def solve_segregation(
     and 33, amplitudes 1 and 60, eps = 1e-4 to 1e-7): eps = 1e-7 at nx = 9
     and at nx = 17 with amplitude 60, and eps = 1e-6 at nx = 9 with
     amplitude 60, run out of the default 100 iterates; eps = 1e-7 at nx = 33
-    with amplitude 60 stops on ``stall`` after 49 iterates.  The other 19
-    converge, in 8 to 94 iterates.
+    with amplitude 60 stops on ``stall`` after 63 iterates.  The other 19
+    converge, in 8 to 87 iterates.
     """
     if f1.spec != f2.spec:
         raise InputError("species data live on different grids")
@@ -447,30 +452,24 @@ def solve_segregation(
 
     def residual(w):
         v = w[:, 1:-1, 1:-1]
-        g = inv_eps * v[0] * v[1] - residual_interior(w, h, "M_minus", cfg.scheme, ell=ell)
-        phi = np.minimum(v / tau, g, out=g)
-        return phi, float(np.abs(phi).max())
+        m, jac = residual_interior(w, h, "M_minus", cfg.scheme, ell=ell, jacobian=True)
+        g = inv_eps * v[0] * v[1] - m
+        phi = np.minimum(v / tau, g)
+        return phi, float(np.abs(phi).max()), (jac, g)
 
     # the Poisson preconditioner carries the sign of -M-'s Jacobian
     precond = _PoissonPreconditioner(n, h, -0.5 * (ell.lam + ell.Lam))
     pads = np.zeros((2, n + 2, n + 2))
 
-    def direction(w, phi, eta):
+    def direction(w, phi, jac, eta):
+        (centre, *rest), g = jac
         v = w[:, 1:-1, 1:-1]
-        m, coefs, _ = linearize(w, h, "M_minus", cfg.scheme, ell=ell)
-        active = v / tau < inv_eps * v[0] * v[1] - m
-
-        def jac(x):
-            pads[:, 1:-1, 1:-1] = x
-            out = v[::-1] * x
-            out += v * x[::-1]
-            out *= inv_eps
-            out -= jacobian_apply(coefs, None, pads, h)
-            return out
-
+        active = v / tau < g
+        # -J_i with the reaction v_j / eps on its centre; the coupling (v_i / eps) d_j
+        stencil = (inv_eps * v[::-1] - centre, *(np.negative(x, out=x) for x in rest))
         # the active rows d_i / tau = -Phi_i, times tau: held at tau Phi_i = v_i
         phi[active] = v[active]
-        return _newton_direction(jac, phi, precond, active, eta)
+        return _newton_direction(stencil, phi, precond, pads, active, eta, inv_eps * v)
 
     krylov = [] if initial is not None else [_harmonic_start(u, precond, pads, None, h)]
     np.clip(u, 0.0, None, out=u)
@@ -493,6 +492,7 @@ class SweepEntry:
     stop_reason: str
     krylov_iterations: int
     krylov_capped: int
+    evaluations: int
 
 
 @dataclass
@@ -545,7 +545,7 @@ def epsilon_sweep(
         report.entries.append(
             SweepEntry(e, res.iterations, res.final_residual, res.lipschitz_seminorm, res.converged,
                        res.telemetry["stop_reason"], res.telemetry["krylov_iterations"],
-                       res.telemetry["krylov_capped"])
+                       res.telemetry["krylov_capped"], res.telemetry["evaluations"])
         )
         if report.fields:
             report.gaps.append(float(np.abs(res.field.values - warm.values).max()))

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from pucci_lab import (
     pucci_eval,
     residual_interior,
 )
-from pucci_lab.operators import _extremal_side, jacobian_apply, linearize
+from pucci_lab import solver
+from pucci_lab.operators import _assemble, _extremal_side, stencil_apply
 
 ELL = Ellipticity(1.0, 2.0)
 FINITE = MatrixFamily(
@@ -521,9 +523,9 @@ def test_linearization_matches_residual(op, name, scheme, seed):
               eps=eps if op == "G_eps" else None)
     spec = SCHEMES[scheme]
     res = residual_interior(u, g.h, op, spec, **kw)
-    value, coefs, diag = linearize(u, g.h, op, spec, **kw)
+    value, stencil = residual_interior(u, g.h, op, spec, **kw, jacobian=True)
     assert value.tobytes() == res.tobytes()
-    jd = jacobian_apply(coefs, diag, d, g.h)
+    jd = stencil_apply(stencil, d)
     plus = residual_interior(u + t * d, g.h, op, spec, **kw)
     minus = residual_interior(u - t * d, g.h, op, spec, **kw)
     # a rare row crosses a tie between frames or members within the probe:
@@ -532,16 +534,61 @@ def test_linearization_matches_residual(op, name, scheme, seed):
     bend = np.abs(plus - 2.0 * res + minus)
     err = np.abs((plus - minus) / (2.0 * t) - jd)
     assert np.all(err <= 1e-6 * np.abs(jd).max() + bend / (2.0 * t))
-    # the central scheme and the laplacian give (k_xx, k_yy, k_xy), the wide
-    # scheme (k_xx, k_yy, k_p, k_m); the four-corner path taken for three is
-    # the general one at k_p = k_m = k_xy, on the policy's and on random
-    # coefficients
-    assert len(coefs) == (3 if scheme == "central" or op == "laplacian" else 4)
-    if len(coefs) == 3:
-        for k in (coefs, tuple(rng.standard_normal((3, 15, 15)))):
-            general = jacobian_apply((*k, np.copy(k[2])), diag, d, g.h)
-            four = jacobian_apply(k, diag, d, g.h)
-            assert np.abs(four - general).max() <= 1e-12 * np.abs(general).max()
+
+
+def _coefficient_jacobian(coefs, diag, d, h):
+    """k_xx d_xx + k_yy d_yy + k_p d_xy+ + k_m d_xy- (+ diag d) on the interior
+    of d, term by term on the second differences: the reference the assembled
+    stencil is checked against.  Three coefficients mean k_p = k_m = k_xy,
+    which keeps only the four-corner part of D+ - D-."""
+    k_xx, k_yy, *k_mixed = coefs
+    mid = d[..., 1:-1, 1:-1]
+    out = d[..., 2:, 2:] + d[..., :-2, :-2]
+    if len(k_mixed) == 1:
+        out = k_mixed[0] * (out - d[..., :-2, 2:] - d[..., 2:, :-2])
+    else:
+        k_p, k_m = k_mixed
+        shift = 0.5 * (k_m - k_p)
+        k_xx, k_yy = k_xx + shift, k_yy + shift
+        out = k_p * (out - 2.0 * mid) - k_m * (d[..., :-2, 2:] + d[..., 2:, :-2] - 2.0 * mid)
+    out = 0.5 * out + k_xx * (d[..., 2:, 1:-1] + d[..., :-2, 1:-1] - 2.0 * mid)
+    out = (out + k_yy * (d[..., 1:-1, 2:] + d[..., 1:-1, :-2] - 2.0 * mid)) / (h * h)
+    return out if diag is None else out + diag * mid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_coefs=st.sampled_from([3, 4]),
+       with_diag=st.booleans(), stack=st.booleans())
+def test_assembled_stencil_matches_the_coefficient_formula(seed, n_coefs, with_diag, stack):
+    rng = np.random.default_rng(seed)
+    h = 1.0 / 16
+    shape = (2, 15, 15) if stack else (15, 15)
+    coefs = tuple(rng.standard_normal((n_coefs, *shape)))
+    diag = rng.standard_normal(shape) / h ** 2 if with_diag else None
+    d = np.zeros(shape[:-2] + (17, 17))
+    d[..., 1:-1, 1:-1] = rng.standard_normal(shape)
+    ref = _coefficient_jacobian(coefs, diag, d, h)
+    stencil = _assemble(coefs, diag, h)
+    jd = stencil_apply(stencil, d)
+    assert np.abs(jd - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the Newton direction's operator: held rows are exact identity rows, the
+    # others the stencil (plus the segregation coupling on a stack) bit for bit
+    held = rng.random(shape) < 0.3
+    coupling = rng.standard_normal(shape) if stack else None
+    seen = []
+
+    def capture(jac, psolve, b, rtol):
+        seen.append(jac)
+        return b, 0
+
+    with mock.patch.object(solver, "_bicgstab", capture):
+        solver._newton_direction(stencil, np.zeros(shape), None, np.zeros_like(d), held, 1e-6,
+                                 coupling)
+    x = d[..., 1:-1, 1:-1]
+    out = seen[0](x.copy())
+    assert np.array_equal(out[held], x[held])
+    free = jd if coupling is None else jd + coupling * x[::-1]
+    assert np.array_equal(out[~held], free[~held])
 
 
 STACK_CASES = [
@@ -567,16 +614,12 @@ def test_stack_equals_its_slices(op, name, scheme):
     spec = SCHEMES[scheme]
     res = residual_interior(u, g.h, op, spec, **kw)
     assert np.array_equal(res, np.stack([residual_interior(w, g.h, op, spec, **kw) for w in u]))
-    value, coefs, diag = linearize(u, g.h, op, spec, **kw)
-    one = [linearize(w, g.h, op, spec, **kw) for w in u]
-    assert np.array_equal(value, np.stack([v for v, _, _ in one]))
-    # the identity family gives scalar coefficients on the central scheme
-    for i, k in enumerate(coefs):
+    value, stencil = residual_interior(u, g.h, op, spec, **kw, jacobian=True)
+    one = [residual_interior(w, g.h, op, spec, **kw, jacobian=True) for w in u]
+    assert np.array_equal(value, np.stack([v for v, _ in one]))
+    # the identity family gives scalar weights on the central scheme
+    for i, k in enumerate(stencil):
         assert np.array_equal(np.broadcast_to(k, value.shape),
-                              np.stack([np.broadcast_to(c[i], (15, 15)) for _, c, _ in one]))
-    assert (diag is None) == (op != "G_eps")
-    if diag is not None:
-        assert np.array_equal(diag, np.stack([dg for _, _, dg in one]))
-    jd = jacobian_apply(coefs, diag, d, g.h)
-    assert np.array_equal(jd, np.stack([jacobian_apply(c, dg, x, g.h)
-                                        for (_, c, dg), x in zip(one, d)]))
+                              np.stack([np.broadcast_to(s[i], (15, 15)) for _, s in one]))
+    jd = stencil_apply(stencil, d)
+    assert np.array_equal(jd, np.stack([stencil_apply(s, x) for (_, s), x in zip(one, d)]))

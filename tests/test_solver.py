@@ -124,7 +124,8 @@ def _captured_preconditioner(monkeypatch, pre, held):
         return np.zeros_like(b), 0
 
     monkeypatch.setattr(solver, "_bicgstab", capture)
-    _newton_direction(None, np.zeros(held.shape), pre, held, solver.KRYLOV_RTOL)
+    zero = (np.zeros(held.shape),) * 5  # a stencil, unread by the stand-in
+    _newton_direction(zero, np.zeros(held.shape), pre, None, held, solver.KRYLOV_RTOL)
     return seen[0]
 
 
@@ -501,14 +502,47 @@ def test_segregation_calls_each_kernel_once_on_the_stack(monkeypatch):
         monkeypatch.setattr(solver, name, call)
 
     spy("residual_interior")
-    spy("linearize")
     f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
     cold = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.2), ell=SEG_ELL)
     warm = solve_segregation(f1, f2, SolveConfig(tol=1e-8, cfl=1.0, eps=0.1), ell=SEG_ELL,
                              initial=cold.field)
     assert cold.iterations >= 2 and warm.iterations >= 2
-    assert {name for name, _ in shapes} == {"residual_interior", "linearize"}
+    assert {name for name, _ in shapes} == {"residual_interior"}
     assert {shape for _, shape in shapes} == {(2, 17, 17)}
+
+
+def _counted_solve(monkeypatch, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)`` and the number of kernel evaluations it made."""
+    calls = []
+    kernel = solver.residual_interior
+
+    def call(*a, **kw):
+        calls.append(1)
+        return kernel(*a, **kw)
+
+    monkeypatch.setattr(solver, "residual_interior", call)
+    res = solve(*args, **kwargs)
+    monkeypatch.setattr(solver, "residual_interior", kernel)
+    return res, len(calls)
+
+
+def test_telemetry_counts_every_kernel_evaluation(monkeypatch):
+    # one evaluation per iterate and per rejected trial, none in the harmonic
+    # start or the Newton directions; the wide4 annulus rejects a full step
+    datum = make_fixture(GridSpec(33), "sign_change")
+    res, calls = _counted_solve(monkeypatch, solve_dirichlet, datum, "G_eps",
+                                SolveConfig(tol=1e-8, eps=0.05), pair=PAIR)
+    assert res.converged and calls == res.telemetry["evaluations"] == res.iterations
+    g = GridSpec(33)
+    X, Y = g.node_coords()
+    res, calls = _counted_solve(monkeypatch, solve_dirichlet, make_fixture(g, "radial_pucci"),
+                                "M_minus", SolveConfig(tol=1e-8, scheme=SchemeSpec("wide", 4)),
+                                ell=SEG_ELL, frozen=np.hypot(X - 0.5, Y - 0.5) < 0.2)
+    assert res.converged and calls == res.telemetry["evaluations"] > res.iterations
+    f1, f2 = make_fixture(GridSpec(17), "edge_bumps", amplitude=60.0)
+    res, calls = _counted_solve(monkeypatch, solve_segregation, f1, f2,
+                                SolveConfig(tol=1e-8, cfl=1.0, eps=0.05), ell=SEG_ELL)
+    assert res.converged and calls == res.telemetry["evaluations"] >= res.iterations
 
 
 def test_segregation_budget_returns_its_start():
