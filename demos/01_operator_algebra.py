@@ -38,24 +38,19 @@ for name, m in mats.items():
     hi = pucci_eval(m, ell, "plus")
     print(f"  {name:9s} eig ({e1:+.4f}, {e2:+.4f})   M- {lo:+.4f}   M+ {hi:+.4f}")
 
-# Structured families give operators squeezed between the envelopes.  The
-# finite set below holds the identity, an axis-stretched matrix, and its
-# quarter-turn rotation, all with spectrum inside [lam, Lam].
+# Structured families give operators squeezed between the envelopes of
+# their band.  The Frobenius ball ||A - I||_F <= r0 is rotation closed, like
+# every family the laboratory knows, and needs a band covering [1 - r0, 1 + r0].
 frob = MatrixFamily("frobenius_ball", Ellipticity(0.5, 1.5), r0=0.5)
-finite = MatrixFamily(
-    "finite_set",
-    ell,
-    members=(SymMat2(1.0, 0.0, 1.0), SymMat2(1.0, 0.0, 2.0), SymMat2(2.0, 0.0, 1.0)),
-)
 
-print("\noperator chain  M- <= F- <= tr <= F+ <= M+  (finite family, same band)")
+print("\noperator chain  M- <= F- <= tr <= F+ <= M+  (frobenius_ball r0 = 0.5, band (0.5, 1.5))")
 for name, m in mats.items():
     chain = (
-        pucci_eval(m, ell, "minus"),
-        family_extremal(finite, m, "inf"),
+        pucci_eval(m, frob.ell, "minus"),
+        family_extremal(frob, m, "inf"),
         m.a + m.c,
-        family_extremal(finite, m, "sup"),
-        pucci_eval(m, ell, "plus"),
+        family_extremal(frob, m, "sup"),
+        pucci_eval(m, frob.ell, "plus"),
     )
     ordered = all(x <= y + 1e-12 for x, y in zip(chain, chain[1:]))
     print(f"  {name:9s} " + "  ".join(f"{v:+.4f}" for v in chain) + f"   ordered={ordered}")
@@ -106,8 +101,4 @@ for u_val in (-2 * eps, -eps / 2, 0.0, eps / 2, 2 * eps):
     h_val = heaviside_smooth(u_val, eps)
     g_val = g_epsilon_eval(m, u_val, pair, eps)
     print(f"  u = {u_val:+.3f}   H_eps = {h_val:.5f}   G_eps = {g_val:+.5f}")
-
-frob_lo = family_extremal(frob, mats["saddle"], "inf")
-frob_hi = family_extremal(frob, mats["saddle"], "sup")
-print(f"\nfrobenius_ball(r0=0.5) on the saddle: inf {frob_lo:+.4f}, sup {frob_hi:+.4f}")
 print("done")

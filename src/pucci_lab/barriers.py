@@ -12,8 +12,8 @@ The annulus profile phi solves F-(D^2 phi) = 0 between |x| = r/2 and |x| = r
 with phi = 1 on the inner circle and 0 on the outer.  For a radial function
 the Hessian eigenvalues are (phi'', t) with t = phi'/rho.  The profile
 decreases, so t < 0 on the whole annulus, and there the family's null slope
-(the a solving F-(diag(a, t)) = 0) is linear, a = -k t.  The profile is then
-the power law
+(the a solving F-(diag(a, t)) = 0) is linear, a = -k t, with k found on the
+family's own kernel.  The profile is then the power law
 
     phi(rho) = ((r / rho)^g - 1) / (2^g - 1),    g = k - 1,
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, InputError
 from .grid import GridField, GridSpec
-from .operators import Ellipticity, MatrixFamily
+from .operators import Ellipticity, MatrixFamily, SymMat2, family_extremal
 
 
 def gamma_exponent(ell: Ellipticity) -> float:
@@ -139,17 +139,18 @@ class RadialProfile:
 
 
 def _radial_exponent(fam: MatrixFamily) -> float:
-    """g = k - 1, where F-(diag(-k t, t)) = 0 for the family and every t < 0."""
-    if fam.kind == "full_pucci":
-        return gamma_exponent(fam.ell)
-    if fam.kind == "identity_only":
-        return 0.0
-    if fam.kind == "frobenius_ball":
-        r0 = fam.r0
-        return (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0) - 1.0
-    raise ConfigurationError(
-        f"radial profiles need a rotation-closed family, got kind {fam.kind!r}"
-    )
+    """g = k - 1, where F-(diag(k, -1)) = 0, so by homogeneity F-(diag(-k t,
+    t)) = 0 for every t < 0, found by bisection on the family's own kernel.
+    F-(diag(k, -1)) increases in k; at k = 1 it is at most the trace, 0, and
+    at k = Lam / lam at least M-, lam k - Lam = 0, so the largest k where it
+    is <= 0 lies in [1, Lam / lam]."""
+    lo, hi = 1.0, fam.ell.Lam / fam.ell.lam
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if family_extremal(fam, SymMat2(mid, 0.0, -1.0), "inf") <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo - 1.0
 
 
 def _annulus_power_law(g: float, ratio):

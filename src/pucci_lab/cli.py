@@ -78,7 +78,6 @@ from .solver import (
 )
 
 COMMANDS = ("solve", "segregate", "sweep", "diagnose", "verify")
-_CLI_FAMILIES = tuple(k for k in FAMILY_KINDS if k != "finite_set")
 
 
 def _p_float(s: str) -> float:
@@ -108,12 +107,10 @@ def _require(ok: bool, rule: str, v) -> None:
         raise ValueError(f"{rule}, got {v!r}")
 
 
-def _one_of(names, note: str = ""):
-    return lambda v: _require(v in names, f"must be one of {', '.join(names)}{note}", v)
+def _one_of(names):
+    return lambda v: _require(v in names, f"must be one of {', '.join(names)}", v)
 
 
-_family = _one_of(_CLI_FAMILIES,
-                  " (finite sets need explicit members and are not line-configurable)")
 _REPORT = inspect.signature(interface_report).parameters
 
 # key -> (value parser, check, default), a None default leaving the key unset.
@@ -126,8 +123,8 @@ _KEYS: dict = {
     "grid.extent": (_p_float, lambda v: GridSpec(5, v), GridSpec.extent),
     "grid.origin": (_p_pair, None, GridSpec.origin),
     "op": (str, _one_of(OP_SELECTORS), "G_eps"),
-    "family.minus": (str, _family, "full_pucci"),
-    "family.plus": (str, _family, "full_pucci"),
+    "family.minus": (str, _one_of(FAMILY_KINDS), "full_pucci"),
+    "family.plus": (str, _one_of(FAMILY_KINDS), "full_pucci"),
     "family.r0": (_p_float, lambda v: _require(0.0 < v < 1.0, "must lie in (0, 1)", v), 0.5),
     "ell.lambda": (_p_float, lambda v: Ellipticity(v, 1.0), 1.0),
     "ell.Lambda": (_p_float, lambda v: Ellipticity(1.0, v), 2.0),

@@ -27,10 +27,9 @@ The matrix attaining it is m I -+ (d / gap) [[a - c, 2b], [2b, c - a]] where
 gap > |tr| (eigenvalues of opposite sign), and (m -+ d sign tr) I elsewhere,
 which is the band midpoint m I at M = 0.
 
-Supported families: the full Pucci class, the identity alone (trace), the
-Frobenius ball ||A - I||_F <= r0 (closed form tr(M) -+ r0 ||M||_F), and
-explicit finite sets.  Finite sets are not rotation closed and cannot be used
-with the wide stencil.
+Supported families, all three rotation closed: the full Pucci class, the
+identity alone (trace), and the Frobenius ball ||A - I||_F <= r0 (closed form
+tr(M) -+ r0 ||M||_F).
 
 Discretization: either the 9-point central Hessian (u_xy by the four-corner
 average) or a wide stencil with K direction pairs at angles k pi / (2K).
@@ -74,7 +73,7 @@ from .errors import ConfigurationError, InputError
 from .grid import GridField
 
 OP_SELECTORS = ("F_minus", "F_plus", "G_eps", "M_minus", "M_plus", "laplacian")
-FAMILY_KINDS = ("full_pucci", "identity_only", "frobenius_ball", "finite_set")
+FAMILY_KINDS = ("full_pucci", "identity_only", "frobenius_ball")
 
 
 @dataclass(frozen=True)
@@ -130,19 +129,16 @@ def pucci_eval(m: SymMat2, ell: Ellipticity, branch: str) -> float:
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A rotation-closed family of symmetric matrices (finite sets excepted).
+    """A rotation-closed family of symmetric matrices.
 
-    kind: one of "full_pucci", "identity_only", "frobenius_ball", "finite_set".
+    kind: one of "full_pucci", "identity_only", "frobenius_ball".
     r0:   Frobenius radius for "frobenius_ball" (0 < r0 < 1, and the
           ellipticity band must cover [1 - r0, 1 + r0]).
-    members: the matrices of a "finite_set"; must contain the identity and
-          keep all eigenvalues inside [lam, Lam].
     """
 
     kind: str
     ell: Ellipticity
     r0: float | None = None
-    members: tuple[SymMat2, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -155,21 +151,6 @@ class MatrixFamily:
                     f"frobenius_ball r0={self.r0} needs lam <= {1 - self.r0:g} and "
                     f"Lam >= {1 + self.r0:g}, got ({self.ell.lam}, {self.ell.Lam})"
                 )
-        if self.kind == "finite_set":
-            if not self.members:
-                raise ConfigurationError("finite_set family must not be empty")
-            has_id = False
-            for mm in self.members:
-                e1, e2 = eig2(mm)
-                if e1 < self.ell.lam - 1e-12 or e2 > self.ell.Lam + 1e-12:
-                    raise ConfigurationError(
-                        f"finite_set member {mm} has eigenvalues ({e1:g}, {e2:g}) "
-                        f"outside [{self.ell.lam}, {self.ell.Lam}]"
-                    )
-                if abs(mm.a - 1.0) < 1e-12 and abs(mm.b) < 1e-12 and abs(mm.c - 1.0) < 1e-12:
-                    has_id = True
-            if not has_id:
-                raise ConfigurationError("finite_set family must contain the identity")
 
 
 def family_extremal(fam: MatrixFamily, m: SymMat2, mode: str) -> float:
@@ -204,18 +185,11 @@ def _extremal_side(fam: MatrixFamily, a, b, c, sup: bool, policy: bool = False):
         return value, (a11, k, base)
     if fam.kind == "identity_only":
         return a + c, (1.0, 0.0, 1.0)
-    if fam.kind == "frobenius_ball":
-        # A = I + r M / ||M||_F with r = -r0 (inf) or r0 (sup), and I at M = 0
-        r = fam.r0 if sup else -fam.r0
-        nrm = np.sqrt(a * a + 2.0 * b * b + c * c)
-        k = np.divide(r, nrm, out=np.zeros_like(nrm), where=nrm > 0.0) if policy else None
-        return (a + c) + r * nrm, (1.0 + k * a, k * b, 1.0 + k * c) if policy else None
-    # finite_set: tr(A M) = A.a m.a + 2 A.b m.b + A.c m.c for symmetric A, M
-    vals = np.stack([mm.a * a + 2.0 * mm.b * b + mm.c * c for mm in fam.members])
-    pick = vals.argmax(axis=0) if sup else vals.argmin(axis=0)
-    value = np.take_along_axis(vals, pick[None], axis=0)[0]
-    entries = np.array([(mm.a, mm.b, mm.c) for mm in fam.members])
-    return value, tuple(np.moveaxis(entries[pick], -1, 0)) if policy else None
+    # frobenius_ball: A = I + r M / ||M||_F with r = -r0 (inf) or r0 (sup), and I at M = 0
+    r = fam.r0 if sup else -fam.r0
+    nrm = np.sqrt(a * a + 2.0 * b * b + c * c)
+    k = np.divide(r, nrm, out=np.zeros_like(nrm), where=nrm > 0.0) if policy else None
+    return (a + c) + r * nrm, (1.0 + k * a, k * b, 1.0 + k * c) if policy else None
 
 
 @dataclass(frozen=True)
@@ -370,9 +344,6 @@ def _over_frames(frames, fam: MatrixFamily, sup: bool, policy: bool = False):
     """(value, coefs): the min over the frames of the inf side (``sup``
     False) or the max of the sup side, and with ``policy`` the coefficients
     (``_frame_coefs``) of the matrix and frame attaining it."""
-    if fam.kind == "finite_set" and len(frames) > 1:
-        raise ConfigurationError("finite_set families are not rotation closed; "
-                                 "wide stencils are unsupported")
     value = coefs = None
     for a, b, c, rot in frames:
         f, act = _extremal_side(fam, a, b, c, sup, policy)

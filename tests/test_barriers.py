@@ -32,6 +32,7 @@ from pucci_lab import (
     two_plane_field,
     two_plane_values,
 )
+from pucci_lab.barriers import _radial_exponent
 
 ELL = Ellipticity(1.0, 2.0)
 
@@ -126,15 +127,38 @@ def test_radial_profile_harmonic_closed_form():
     assert prof.sigma == pytest.approx(1.0 / math.log(2.0), abs=1e-4)
 
 
+def _frobenius_slope(r0):
+    """k with F-(diag(k, -1)) = 0 on the Frobenius ball: the larger root of
+    (k - 1)^2 = r0^2 (k^2 + 1)."""
+    return (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0)
+
+
 def test_radial_profile_frobenius_closed_form():
     # the negative-curvature branch of the null slope gives a pure power law
     r0 = 0.5
     fam = MatrixFamily("frobenius_ball", Ellipticity(0.5, 1.5), r0=r0)
     prof = radial_profile(fam, r=0.4)
-    geff = (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0) - 1.0
+    geff = _frobenius_slope(r0) - 1.0
     ref = ((0.4 / prof.rho_samples) ** geff - 1.0) / (2.0 ** geff - 1.0)
     assert np.abs(prof.phi_values - ref).max() <= 1e-9
     assert prof.sigma == pytest.approx(geff / (2.0 ** geff - 1.0), abs=1e-4)
+
+
+@pytest.mark.parametrize("fam, g", [
+    *[(MatrixFamily("full_pucci", Ellipticity(lam, Lam)), (Lam - lam) / lam)
+      for lam, Lam in ((1.0, 2.0), (0.5, 2.0), (0.3, 7.0), (1.0, 100.0))],
+    *[(MatrixFamily("frobenius_ball", Ellipticity(1.0 - r0, 1.0 + r0), r0=r0),
+       _frobenius_slope(r0) - 1.0) for r0 in (0.3, 0.5)],
+], ids=["pucci-1-2", "pucci-0.5-2", "pucci-0.3-7", "pucci-1-100", "frobenius-0.3",
+        "frobenius-0.5"])
+def test_radial_exponent_bisected_on_the_kernel_matches_the_closed_form(fam, g):
+    assert _radial_exponent(fam) == pytest.approx(g, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("ell", [Ellipticity(1.0, 1.0), ELL, Ellipticity(0.5, 3.0)])
+def test_radial_exponent_of_the_identity_is_exactly_zero(ell):
+    # exactly: _annulus_power_law takes its log branch only at g == 0
+    assert _radial_exponent(MatrixFamily("identity_only", ell)) == 0.0
 
 
 def test_radial_profile_sigma_radius_invariant():
@@ -149,9 +173,6 @@ def test_radial_profile_validation():
         radial_profile(MatrixFamily("full_pucci", ELL), r=-0.4)
     with pytest.raises(ConfigurationError):
         radial_profile(MatrixFamily("full_pucci", ELL), samples=2)
-    finite = MatrixFamily("finite_set", ELL, members=(SymMat2(1.0, 0.0, 1.0),))
-    with pytest.raises(ConfigurationError):
-        radial_profile(finite)
 
 
 def test_profile_dataclass_validation():
@@ -172,7 +193,7 @@ radial_families = st.one_of(
               st.floats(0.25, 1.0), st.floats(1.0, 4.0)),
     st.just((MatrixFamily("identity_only", Ellipticity(1.0, 1.0)), 1.0)),
     st.builds(lambda r0: (MatrixFamily("frobenius_ball", Ellipticity(1.0 - r0, 1.0 + r0), r0=r0),
-                          (1.0 + r0 * math.sqrt(2.0 - r0 * r0)) / (1.0 - r0 * r0)),
+                          _frobenius_slope(r0)),
               st.floats(0.05, 0.9)),
 )
 

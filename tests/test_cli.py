@@ -19,7 +19,6 @@ from pucci_lab import (
     ParseError,
     SchemeSpec,
     SolveConfig,
-    SymMat2,
     barriers,
     cli,
     field_from_csv,
@@ -154,7 +153,7 @@ def test_parse_rejects_bad_fixture_values(fixture, key, bad):
     ("grid.nx", "4"),
     ("grid.extent", "0"),
     ("op", "M_middle"),
-    ("family.minus", "finite_set"),
+    ("family.minus", "finite_set"),  # not a family kind
     ("family.r0", "1"),
     ("ell.Lambda", "0.5"),
     ("scheme", "upwind"),
@@ -168,6 +167,9 @@ def test_parse_rejects_bad_fixture_values(fixture, key, bad):
     ("radii", "0.1"),
     ("cone.theta", "90"),
     ("rel_tol", "-0.01"),
+    ("tol", "nan"),  # not finite
+    ("x0", "0.5"),  # a pair with one value
+    ("radii", ","),  # an empty list
 ])
 def test_parse_rejects_each_out_of_range_value(key, bad):
     with pytest.raises(ParseError) as exc:
@@ -542,16 +544,21 @@ def test_verify_suites_pass(tmp_path):
                         "j_r": "PASS", "slope_fit": "PASS"}
 
 
-def test_verify_operator_suite_fails_on_broken_families():
-    # a Frobenius ball wider than its ellipticity band breaks the chain
-    # M- <= F-; a finite set is not rotation closed
+def test_verify_operator_suite_fails_on_broken_families(monkeypatch):
+    # a Frobenius ball wider than its ellipticity band breaks the chain M- <= F-
     ball = MatrixFamily("frobenius_ball", Ellipticity(0.5, 1.5), r0=0.5)
     object.__setattr__(ball, "r0", 0.9)
-    finite = MatrixFamily("finite_set", Ellipticity(1.0, 2.0),
-                          members=(SymMat2(1.0, 0.0, 1.0), SymMat2(1.0, 0.0, 2.0)))
     assert cli._verify_operators(np.random.default_rng(1))
-    for fam in (ball, finite):
-        assert not cli._verify_operators(np.random.default_rng(1), [OperatorPair(fam, fam)])
+    assert not cli._verify_operators(np.random.default_rng(1), [OperatorPair(ball, ball)])
+    # a kernel that reads M in the coordinate frame: the Pucci class cut down
+    # to diagonal matrices keeps the chain, the homogeneity and the duality
+    # but is not rotation closed
+    aligned = MatrixFamily("full_pucci", Ellipticity(1.0, 2.0))
+    kernel = cli._extremal_side
+    monkeypatch.setattr(cli, "_extremal_side", lambda fam, a, b, c, sup: kernel(
+        fam, a, 0.0 * b if fam is aligned else b, c, sup))
+    assert cli._verify_operators(np.random.default_rng(1))
+    assert not cli._verify_operators(np.random.default_rng(1), [OperatorPair(aligned, aligned)])
 
 
 def test_main_round_trip(tmp_path, capsys):

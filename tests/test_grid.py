@@ -57,6 +57,13 @@ def test_spec_rejects_bad_extent(extent):
         GridSpec(9, extent=extent)
 
 
+@pytest.mark.parametrize("origin", [(float("nan"), 0.0), (0.0, float("inf")), (0.0,)],
+                         ids=["nan", "inf", "one-value"])
+def test_spec_rejects_bad_origin(origin):
+    with pytest.raises(ConfigurationError, match="origin must be a finite pair"):
+        GridSpec(5, origin=origin)
+
+
 def test_boundary_ring_shape_and_count():
     g = GridSpec(7)
     ring = g.boundary_ring()
@@ -304,6 +311,16 @@ def test_csv_rows_must_sit_on_their_nodes(tmp_path):
     lines[1], lines[2] = lines[2], lines[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InputError, match="line 5 has x,y = 9.5,0.75, not node 0,0.75"):
+        field_from_csv(path)
+
+
+def test_csv_missing_a_row_is_rejected(tmp_path):
+    g = GridSpec(5)
+    path = tmp_path / "f.csv"
+    field_to_csv(GridField(g, np.arange(25.0).reshape(5, 5)), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(InputError, match=r"expected 25 rows of x,y,value, got shape \(24, 3\)"):
         field_from_csv(path)
 
 

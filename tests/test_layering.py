@@ -1,8 +1,9 @@
 """Import layering: the interface diagnostics read fields, so they import
 from the package's error and grid modules (and the interface report from the
 J_r module), never from the operators, the solver, the barriers or the CLI;
-a field's memo of derived data is grid.py's alone; and the package's
-``__all__`` lists exactly what it imports."""
+a field's memo of derived data is grid.py's alone; only operators.py branches
+on a matrix family's or a scheme's kind; and the package's ``__all__`` lists
+exactly what it imports."""
 
 import ast
 import os
@@ -51,6 +52,23 @@ def test_field_memo_is_reached_only_through_grid():
     modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
     assert _memo_references("grid")
     outside = {m: _memo_references(m) for m in modules if m != "grid"}
+    assert not any(outside.values()), outside
+
+
+def _kind_comparisons(module):
+    with open(os.path.join(SRC, f"{module}.py")) as fh:
+        tree = ast.parse(fh.read())
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "kind"
+                    for part in (node.left, *node.comparators) for sub in ast.walk(part))]
+
+
+def test_only_operators_branches_on_a_kind():
+    # each family and scheme is stated once, in its kernel: another module
+    # asks the kernel (as the radial exponent does) instead of restating it
+    modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+    assert _kind_comparisons("operators")
+    outside = {m: _kind_comparisons(m) for m in modules if m != "operators"}
     assert not any(outside.values()), outside
 
 

@@ -31,20 +31,10 @@ from pucci_lab import solver
 from pucci_lab.operators import _assemble, _extremal_side, stencil_apply
 
 ELL = Ellipticity(1.0, 2.0)
-FINITE = MatrixFamily(
-    "finite_set",
-    ELL,
-    members=(
-        SymMat2(1.0, 0.0, 1.0),
-        SymMat2(1.5, 0.0, 1.25),
-        SymMat2(1.3, 0.2, 1.3),
-    ),
-)
 PAIRS = {
     "pucci": OperatorPair.pucci(ELL),
     "identity": OperatorPair.identity(ELL),
     "frobenius": OperatorPair.frobenius(Ellipticity(0.5, 1.5), 0.5),
-    "finite": OperatorPair(FINITE, FINITE),
 }
 
 entry = st.floats(-10.0, 10.0, allow_nan=False)
@@ -153,7 +143,7 @@ def test_uniform_ellipticity_increments(name, m, p):
         assert ell.lam * n.trace() - tol <= inc <= ell.Lam * n.trace() + tol
 
 
-@pytest.mark.parametrize("name", ["pucci", "identity", "frobenius"])
+@pytest.mark.parametrize("name", sorted(PAIRS))
 @given(m=mats, ang=st.floats(0.0, 2 * math.pi, allow_nan=False))
 def test_rotation_invariance(name, m, ang):
     pair = PAIRS[name]
@@ -175,15 +165,6 @@ def test_duality_of_shared_family_pairs():
             assert family_extremal(pair.plus, m, "sup") == pytest.approx(
                 -family_extremal(pair.minus, neg, "inf"), abs=1e-11
             ), name
-
-
-def test_finite_set_matches_brute_force():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        m = SymMat2(*rng.normal(size=3) * 3)
-        vals = [mm.a * m.a + 2 * mm.b * m.b + mm.c * m.c for mm in FINITE.members]
-        assert family_extremal(FINITE, m, "inf") == pytest.approx(min(vals), abs=1e-13)
-        assert family_extremal(FINITE, m, "sup") == pytest.approx(max(vals), abs=1e-13)
 
 
 def test_frobenius_closed_form():
@@ -211,15 +192,6 @@ def test_family_validation():
     with pytest.raises(ConfigurationError):
         # band [1, 2] does not cover [1 - r0, 1 + r0]
         MatrixFamily("frobenius_ball", Ellipticity(1.0, 2.0), r0=0.5)
-    with pytest.raises(ConfigurationError):
-        MatrixFamily("finite_set", ELL, members=())
-    with pytest.raises(ConfigurationError):
-        MatrixFamily("finite_set", ELL, members=(SymMat2(1.5, 0.0, 1.5),))  # no identity
-    with pytest.raises(ConfigurationError):
-        MatrixFamily(
-            "finite_set", ELL,
-            members=(SymMat2(1.0, 0.0, 1.0), SymMat2(3.0, 0.0, 1.0)),  # eig above Lam
-        )
     with pytest.raises(ConfigurationError):
         MatrixFamily("diagonal", ELL)
 
@@ -400,7 +372,7 @@ def test_wide_stencil_weights_on_east_neighbour(delta):
 
 
 @pytest.mark.parametrize("scheme", [SchemeSpec(), SchemeSpec("wide", 4)])
-@pytest.mark.parametrize("name", ["pucci", "identity", "frobenius"])
+@pytest.mark.parametrize("name", sorted(PAIRS))
 def test_g_eps_shared_family_matches_its_branches_bitwise(scheme, name):
     # one family on both sides takes F- and F+ from the same Hessian; the
     # result is the blend of the two one-sided residuals, bit for bit
@@ -436,14 +408,6 @@ def test_wide_direction_gap_shrinks():
         errs.append(float(np.abs(res - ref).max()))
     assert errs[2] < errs[0] / 2
     assert errs[1] <= errs[0] + 1e-12
-
-
-def test_wide_rejects_finite_set():
-    g = GridSpec(17)
-    fld = quad_field(g, 1.0, 0.0, 1.0)
-    pair = PAIRS["finite"]
-    with pytest.raises(ConfigurationError):
-        residual_interior(fld.values, g.h, "F_minus", SchemeSpec("wide", 4), pair=pair)
 
 
 def test_selector_argument_resolution():
@@ -487,8 +451,7 @@ def test_g_eps_reduces_to_branches_far_from_zero():
     assert np.allclose(r_g, r_m, atol=1e-12)
 
 
-# Every selector, family and scheme for the linearization tests; finite sets
-# are not rotation closed and run on the central scheme only.  "mixed" pairs
+# Every selector, family and scheme for the linearization tests.  "mixed" pairs
 # two different families, so G_eps blends its sides after their frames.
 ELL_WIDE = Ellipticity(0.5, 1.5)
 LINEAR_PAIRS = dict(PAIRS, mixed=OperatorPair(MatrixFamily("full_pucci", ELL_WIDE),
@@ -499,7 +462,6 @@ LINEAR_CASES = [
     for scheme in SCHEMES
     for op in OP_SELECTORS
     for name in (sorted(LINEAR_PAIRS) if op in ("F_minus", "F_plus", "G_eps") else ["pucci"])
-    if not (name == "finite" and scheme != "central")
 ]
 
 
@@ -528,7 +490,7 @@ def test_linearization_matches_residual(op, name, scheme, seed):
     jd = stencil_apply(stencil, d)
     plus = residual_interior(u + t * d, g.h, op, spec, **kw)
     minus = residual_interior(u - t * d, g.h, op, spec, **kw)
-    # a rare row crosses a tie between frames or members within the probe:
+    # a rare row crosses a tie between frames within the probe:
     # there the centred difference misses J d by its bend over 2t, which
     # elsewhere is roundoff
     bend = np.abs(plus - 2.0 * res + minus)
@@ -595,9 +557,8 @@ STACK_CASES = [
     (op, name, scheme)
     for scheme in ("central", "wide4")
     for op in OP_SELECTORS
-    for name in (("pucci", "frobenius", "mixed", "finite")
+    for name in (("pucci", "frobenius", "mixed")
                  if op in ("F_minus", "F_plus", "G_eps") else ["pucci"])
-    if not (name == "finite" and scheme != "central")
 ]
 
 

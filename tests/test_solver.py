@@ -114,6 +114,23 @@ def test_frozen_nodes_held_exactly():
     assert np.array_equal(res.field.values[frozen], datum.values[frozen])
 
 
+def test_frozen_mask_must_match_the_grid():
+    datum = make_grid(GridSpec(17), lambda x, y: x)
+    with pytest.raises(InputError, match="frozen mask shape"):
+        solve_dirichlet(datum, "laplacian", SolveConfig(), frozen=np.zeros((15, 15), dtype=bool))
+
+
+def test_all_false_frozen_mask_is_no_mask():
+    g = GridSpec(17)
+    datum = make_fixture(g, "sign_change")
+    cfg = SolveConfig(tol=1e-8, eps=0.05)
+    plain = solve_dirichlet(datum, "G_eps", cfg, pair=PAIR)
+    masked = solve_dirichlet(datum, "G_eps", cfg, pair=PAIR, frozen=np.zeros((17, 17), dtype=bool))
+    assert np.array_equal(masked.field.values, plain.field.values)
+    assert np.array_equal(masked.residual_history, plain.residual_history)
+    assert masked.telemetry == plain.telemetry
+
+
 def _captured_preconditioner(monkeypatch, pre, held):
     """The preconditioner that ``_newton_direction`` hands to BiCGSTAB for
     the ``held`` mask, captured by standing in for ``_bicgstab``."""
